@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from pts_kernel.cli import main, run_program
+from pts_kernel.corpus import BUNDLE_IDS
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -37,6 +40,26 @@ def test_trace_refined_matches_golden_bytes(capsys):
     assert main(["trace", "refined-axiomatic", "bottomProof", "--steps", "5"]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / "refined-axiomatic-head-def.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("bundle", ["simple", "refined-axiomatic"])
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("structured", "jsonl")])
+def test_trace_head_linear_matches_golden_bytes(capsys, bundle, fmt, suffix):
+    argv = ["trace", bundle, "bottomProof", "--strategy", "head-linear", "--steps", "40"]
+    assert main(argv + ["--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{bundle}-head-linear.{suffix}").read_text(encoding="utf-8")
+
+
+def test_loop_lines_match_golden(capsys):
+    lines = []
+    for bundle in BUNDLE_IDS:
+        for strategy in ("head-def", "head-linear"):
+            for erase in (None, "annotations", "poly"):
+                argv = ["loop", bundle, "bottomProof", "--strategy", strategy, "--bound", "60"]
+                assert main(argv + (["--erase", erase] if erase else [])) == 0
+                lines.append(f"{bundle} {strategy} {erase or '-'}: {capsys.readouterr().out}")
+    assert "".join(lines) == (GOLDEN / "loop-bound-60.txt").read_text(encoding="utf-8")
 
 
 def test_structured_trace_agrees_with_text(capsys):

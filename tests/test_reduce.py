@@ -169,6 +169,30 @@ def test_detect_loop_simple(simple):
     assert (report.found, report.entry, report.period) == (True, 0, 2)
 
 
+@pytest.mark.parametrize(
+    "src, strategy, steps",
+    [
+        ("fun (x : A) => x", HEAD_DEF, 0),
+        ("(fun (x : A) => x) x₀", HEAD_DEF, 2),
+        ("(fun (x : A) => x) x₀", HEAD_LINEAR, 2),
+        ("(fun (f : A -> A) => f) (fun (y : A) => y) x₀", HEAD_LINEAR, 3),
+        ("let y : A := x₀ in (fun (z : A) => z) y", HEAD_LINEAR, 3),
+    ],
+)
+def test_detect_loop_counts_steps_to_head_normal_form(simple, src, strategy, steps):
+    # Under head-linear some of these steps leave the readback unchanged;
+    # ``steps`` still counts every step taken.
+    t = _term(src, simple.env)
+    report = detect_loop(simple.env, t, strategy, 10)
+    assert (report.found, report.entry, report.period, report.steps) == (False, 0, 0, steps)
+    tr = trace(simple.env, t, strategy, 10)
+    assert (tr.stopped, len(tr.steps)) == ("head-normal", steps)
+    if steps:
+        # Reaching the normal form on the last allowed step is not detected.
+        assert trace(simple.env, t, strategy, steps).stopped == "max-steps"
+        assert detect_loop(simple.env, t, strategy, steps).steps == steps
+
+
 def test_detect_loop_refined_absent(refined):
     report = detect_loop(refined.env, refined.key_terms["bottomProof"], HEAD_DEF, 1000)
     assert not report.found
