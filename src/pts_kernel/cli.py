@@ -36,6 +36,7 @@ class Report:
     lines: list[ReportLine] = field(default_factory=list)
     error: Optional[KernelError] = None
     failed_entry: Optional[str] = None
+    env: Optional[GlobalEnv] = None  # the environment built, once every directive passed
 
     @property
     def ok(self) -> bool:
@@ -49,7 +50,9 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
     """Execute a development file: build the environment, run its directives.
 
     Stops at the first failing directive; the report records every judgment
-    with folded displays (or fully unfolded ones when ``raw`` is set).
+    with folded displays (or fully unfolded ones when ``raw`` is set).  A
+    ``system_override`` replaces only the ``system`` header: ``axiom`` and
+    ``rule`` directives still extend the chosen signature.
     """
     report = Report()
     try:
@@ -134,6 +137,7 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
             report.failed_entry = d.name or d.kind
             report.lines.append(ReportLine(False, f"{d.kind} {d.name or ''}: {err}".strip()))
             return report
+    report.env = env
     return report
 
 
@@ -160,34 +164,8 @@ def _load_target(target: str, system_override: Optional[str]) -> tuple[GlobalEnv
     report = run_program(src, system_override)
     if not report.ok:
         raise KernelError(f"cannot load {target}:\n{report.render()}")
-    # Rebuild once more to recover the environment (run_program reports only).
-    env = _rebuild_env(src, system_override)
-    names = {e.name: Const(e.name) for e in env.entries if isinstance(e, (Decl, Def))}
-    return env, names
-
-
-def _rebuild_env(src: str, system_override: Optional[str]) -> GlobalEnv:
-    directives = parse_program(src)
-    spec = PRESETS[system_override] if system_override else None
-    env = GlobalEnv(spec if spec is not None else PRESETS["lambda-hol"])
-    for d in directives:
-        if d.kind == "system" and spec is None:
-            env = env.with_spec(_resolve_system(d))
-        elif d.kind == "axiom" and spec is None:
-            s1, s2 = (SORT_BY_TOKEN[s] for s in d.parts)
-            env = env.with_spec(with_axiom(env.spec, s1, s2))
-        elif d.kind == "rule" and spec is None:
-            s1, s2, s3 = (SORT_BY_TOKEN[s] for s in d.parts)
-            env = env.with_spec(with_rule(env.spec, s1, s2, s3))
-        elif d.kind == "const":
-            env = add_entry(env, Decl(d.name, elaborate(d.parts[0], env)))
-        elif d.kind == "def":
-            env = add_entry(
-                env, Def(d.name, elaborate(d.parts[0], env), elaborate(d.parts[1], env))
-            )
-        elif d.kind == "rewrite":
-            env = add_entry(env, build_rewrite(env, d.name, d.parts[0], d.parts[1]))
-    return env
+    names = {e.name: Const(e.name) for e in report.env.entries if isinstance(e, (Decl, Def))}
+    return report.env, names
 
 
 def _resolve_term(terms: dict, name: str, target: str) -> Term:

@@ -13,7 +13,6 @@ constant prints as that constant, later definitions winning, and notations
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .env import GlobalEnv, Def
@@ -42,26 +41,6 @@ _APP = 3
 _ATOM = 4
 
 
-@dataclass(frozen=True)
-class Notation:
-    """A display abbreviation: a left-linear term pattern and a template."""
-
-    name: str
-    pattern: Term
-    display: str
-
-
-# g∘f stands for fun (x : X) => g (f x); the domain is implicit on display
-# and recovered from f's type when parsing.
-COMPOSE = Notation(
-    name="compose",
-    pattern=Lam("x", Const("$X"), App(Const("$g"), App(Const("$f"), Var(0, "x")))),
-    display="{g}∘{f}",
-)
-
-BUILTIN_NOTATIONS = (COMPOSE,)
-
-
 def match_composition(t: Term) -> Optional[tuple[Term, Term]]:
     """Destructure ``fun (x : X) => g (f x)`` with x free in neither g nor f."""
     if not isinstance(t, Lam):
@@ -82,10 +61,7 @@ def match_composition(t: Term) -> Optional[tuple[Term, Term]]:
 
 
 def fold_display(
-    t: Term,
-    env: Optional[GlobalEnv] = None,
-    notations: bool = True,
-    scope: Optional[list[str]] = None,
+    t: Term, env: Optional[GlobalEnv] = None, scope: Optional[list[str]] = None
 ) -> str:
     """Print ``t`` with maximal re-folding against ``env``'s definitions.
 
@@ -93,7 +69,7 @@ def fold_display(
     """
     fold_index = _fold_index(env) if env is not None else {}
     memo: dict[Term, Term] = {}
-    return _render(t, _BINDER, list(scope or []), env, fold_index, memo, notations)
+    return _render(t, _BINDER, list(scope or []), env, fold_index, memo, True)
 
 
 def plain_display(t: Term, env: Optional[GlobalEnv] = None) -> str:

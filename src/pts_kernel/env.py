@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import DuplicateNameError, IllFormedPatternError, TypeCheckError, UNKNOWN_CONSTANT
 from .specs import PtsSpec
@@ -132,11 +132,6 @@ class GlobalEnv:
 
     def with_spec(self, spec: PtsSpec) -> "GlobalEnv":
         return GlobalEnv(spec, self.entries)
-
-    def defined_names(self) -> Iterable[str]:
-        for e in self.entries:
-            if isinstance(e, Def):
-                yield e.name
 
 
 def add_entry(env: GlobalEnv, entry: EnvEntry) -> GlobalEnv:

@@ -20,10 +20,10 @@ applications.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .display import fold_display, plain_display
-from .env import Def, GlobalEnv, Rewrite, unfold_all
+from .env import Def, GlobalEnv, Rewrite
 from .errors import ErasureNeedsTypesError, KernelError
 from .terms import (
     App,
@@ -176,7 +176,10 @@ def head_linear_step(env: GlobalEnv, t: Term) -> Optional[tuple[str, str, Term]]
     return kind, detail, new
 
 
-def readback(t: Term, max_contractions: int = 65536) -> Term:
+READBACK_BUDGET = 65536  # redex contractions allowed in one readback
+
+
+def readback(t: Term) -> Term:
     """Flatten pending spine substitutions: the observable state of the
     linear machine.
 
@@ -186,7 +189,7 @@ def readback(t: Term, max_contractions: int = 65536) -> Term:
     redexes (possible only for constant-free self-reducing states) the
     flattening is cut off with an error rather than silently diverging.
     """
-    budget = max_contractions
+    budget = READBACK_BUDGET
     while True:
         head, args = spine(t)
         if isinstance(head, Let):
@@ -217,6 +220,37 @@ def _observe(strategy: str, t: Term) -> Term:
     return readback(t) if strategy == HEAD_LINEAR else t
 
 
+def _walk(
+    env: GlobalEnv, t: Term, strategy: str, limit: int
+) -> Iterator[tuple[tuple[str, str, Term], Optional[tuple[int, int]]]]:
+    """Step ``t`` at most ``limit`` times, yielding ``(step, loop)`` per step.
+
+    ``step`` is the stepper's ``(kind, detail, term)``.  Observable states are
+    numbered from 0 at ``t``; a step that leaves the state unchanged makes no
+    new observation.  ``loop`` is None until a step revisits observation
+    ``entry``, when it is ``(entry, period)`` and the walk ends.  The walk also
+    ends on a head-normal form.
+    """
+    step = _stepper(strategy)
+    prev_key = _observe(strategy, t)
+    seen = {prev_key: 0}
+    cur = t
+    for _ in range(limit):
+        result = step(env, cur)
+        if result is None:
+            return
+        cur = result[2]
+        key = _observe(strategy, cur)
+        if key != prev_key:
+            entry = seen.get(key)
+            if entry is not None:
+                yield result, (entry, len(seen) - entry)
+                return
+            seen[key] = len(seen)
+            prev_key = key
+        yield result, None
+
+
 def trace(
     env: GlobalEnv,
     t: Term,
@@ -226,27 +260,15 @@ def trace(
 ) -> Trace:
     """Step ``t``, recording one row per event; stops on head-normal forms,
     detected state repetition, or ``max_steps``."""
-    step = _stepper(strategy)
     disp = (lambda x: fold_display(x, env)) if fold else (lambda x: plain_display(x, env))
     out = Trace(start=t, start_display=disp(t))
-    seen = {_observe(strategy, t): 0}
-    prev_key = _observe(strategy, t)
-    cur = t
-    for index in range(1, max_steps + 1):
-        result = step(env, cur)
-        if result is None:
-            out.stopped = "head-normal"
-            return out
-        kind, detail, cur = result
+    for index, ((kind, detail, cur), loop) in enumerate(_walk(env, t, strategy, max_steps), 1):
         out.steps.append(TraceStep(index, kind, detail, cur, disp(cur)))
-        key = _observe(strategy, cur)
-        if key != prev_key:
-            if key in seen:
-                out.stopped = "loop"
-                return out
-            seen[key] = index
-            prev_key = key
-    out.stopped = "max-steps"
+        if loop is not None:
+            out.stopped = "loop"
+            return out
+    if len(out.steps) < max_steps:
+        out.stopped = "head-normal"
     return out
 
 
@@ -256,7 +278,6 @@ def detect_loop(
     strategy: str = HEAD_DEF,
     bound: int = 1000,
     mode: Optional[str] = None,
-    unfold_first: bool = False,
 ) -> LoopReport:
     """Hash the alpha-normal form of each observable state; report the first
     repetition within ``bound`` steps.
@@ -264,50 +285,15 @@ def detect_loop(
     With ``mode`` set, the environment and start term are erased first.  For
     the linear strategy consecutive equal readbacks collapse into one
     observable state, so ``entry``/``period`` count distinct observations.
+    ``steps`` counts the steps taken.
     """
     if mode is not None:
         env, t = erase_env(env, mode), erase(t, mode, env=env)
-    if unfold_first:
-        t = unfold_all(env, t)
-    step = _stepper(strategy)
-    key = _observe(strategy, t)
-    seen = {key: 0}
-    observations = 0
-    prev_key = key
-    cur = t
-    for taken in range(1, bound + 1):
-        result = step(env, cur)
-        if result is None:
-            return LoopReport(False, 0, 0, bound, steps=taken - 1)
-        cur = result[2]
-        key = _observe(strategy, cur)
-        if key == prev_key:
-            continue
-        observations += 1
-        hit = seen.get(key)
-        if hit is not None:
-            return LoopReport(True, hit, observations - hit, bound, steps=taken)
-        seen[key] = observations
-        prev_key = key
-    return LoopReport(False, 0, 0, bound, steps=bound)
-
-
-def replay_states(
-    env: GlobalEnv, t: Term, strategy: str, count: int
-) -> list[Term]:
-    """Observable states from ``t``; used to confirm loop reports."""
-    step = _stepper(strategy)
-    states = [_observe(strategy, t)]
-    cur = t
-    while len(states) <= count:
-        result = step(env, cur)
-        if result is None:
-            break
-        cur = result[2]
-        obs = _observe(strategy, cur)
-        if obs != states[-1]:
-            states.append(obs)
-    return states
+    steps = 0
+    for steps, (_, loop) in enumerate(_walk(env, t, strategy, bound), 1):
+        if loop is not None:
+            return LoopReport(True, *loop, bound, steps=steps)
+    return LoopReport(False, 0, 0, bound, steps=steps)
 
 
 # --------------------------------------------------------------------------

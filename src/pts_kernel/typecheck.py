@@ -57,15 +57,15 @@ Ctx = tuple[tuple[str, Term, Optional[Term]], ...]
 
 
 class Fuel:
-    __slots__ = ("left",)
+    __slots__ = ("left", "budget")
 
     def __init__(self, amount: int = DEFAULT_FUEL) -> None:
-        self.left = amount
+        self.left = self.budget = amount
 
     def spend(self) -> None:
         self.left -= 1
         if self.left < 0:
-            raise TypeCheckError(FUEL_EXHAUSTED, f"conversion exceeded {DEFAULT_FUEL} head steps")
+            raise TypeCheckError(FUEL_EXHAUSTED, f"conversion exceeded {self.budget} head steps")
 
 
 def push(ctx: Ctx, hint: str, ty: Term, value: Optional[Term] = None) -> Ctx:
@@ -295,7 +295,7 @@ def infer(env: GlobalEnv, t: Term, ctx: Ctx = ()) -> Term:
             return Pi(hint, dom, body_ty)
         case Pi(hint, dom, cod):
             s1 = _sort_of(env, dom, ctx, "product domain")
-            s2 = _sort_of_value(env, cod, push(ctx, hint, dom), "product codomain")
+            s2 = _sort_of(env, cod, push(ctx, hint, dom), "product codomain")
             s3 = rule_of(env.spec, s1, s2)
             if s3 is None:
                 raise _no_rule(s1, s2)
@@ -306,14 +306,6 @@ def infer(env: GlobalEnv, t: Term, ctx: Ctx = ()) -> Term:
             body_ty = infer(env, body, push(ctx, hint, ann, defn))
             return subst(body_ty, defn)
     raise TypeCheckError(NOT_A_SORT, f"cannot infer {t!r}")
-
-
-def _sort_of_value(env: GlobalEnv, t: Term, ctx: Ctx, what: str) -> Sort:
-    """The sort ``s`` with ``t : s`` (``t`` itself must be a type)."""
-    w = whnf(env, infer(env, t, ctx), ctx)
-    if isinstance(w, SortT):
-        return w.sort
-    raise TypeCheckError(NOT_A_SORT, f"{what} is not a type")
 
 
 def _no_rule(s1: Sort, s2: Sort) -> TypeCheckError:

@@ -23,6 +23,28 @@ def test_check_reynolds_under_hol_fails(capsys):
     assert "def A" in out
 
 
+def test_system_override_keeps_axiom_and_rule_directives(tmp_path, capsys):
+    # --system replaces only the system header, for every subcommand alike;
+    # idU's type needs the file's (##,#) rule, which lambda-hol lacks.
+    f = tmp_path / "custom.pts"
+    f.write_text(
+        "system custom.\naxiom * : #.\naxiom # : ##.\n"
+        "rule * * : *.\nrule # # : #.\nrule # * : *.\nrule ## # : #.\n"
+        "def U : # := Pi (X : #) -> X -> X.\n"
+        "def idU : U := fun (X : #) (x : X) => x.\n",
+        encoding="utf-8",
+    )
+    override = ["--system", "lambda-hol"]
+    assert main(["check", str(f)] + override) == 0
+    assert "system custom (overridden: lambda-hol)" in capsys.readouterr().out
+    assert main(["trace", str(f), "idU", "--steps", "2"] + override) == 0
+    assert capsys.readouterr().out == "idU\nidU\n"
+    assert main(["loop", str(f), "idU"] + override) == 0
+    assert capsys.readouterr().out == "found=false no repetition (bound=1000, steps=1)\n"
+    assert main(["erase", str(f), "idU", "--erase", "poly"] + override) == 0
+    assert capsys.readouterr().out == "idU\n"
+
+
 def test_check_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.pts"
     empty.write_text("-- nothing here\n", encoding="utf-8")

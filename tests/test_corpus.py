@@ -91,11 +91,11 @@ def test_checked_in_files_match_builders(all_bundles):
 
 
 def test_files_rebuild_identical_environments(all_bundles):
-    from pts_kernel.cli import _rebuild_env
+    from pts_kernel.cli import run_program
 
     for bundle in all_bundles:
         src = render_bundle(bundle)
-        env = _rebuild_env(src, None)
+        env = run_program(src).env
         assert env.spec.name == bundle.preset_name
         assert len(env.entries) == len(bundle.env.entries)
         for rebuilt, original in zip(env.entries, bundle.env.entries):

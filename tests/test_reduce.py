@@ -17,7 +17,6 @@ from pts_kernel.reduce import (
     head_def_step,
     head_linear_step,
     readback,
-    replay_states,
     trace,
 )
 from pts_kernel.terms import App, Const, HOLE, Lam, Var, alpha_eq, app
@@ -25,6 +24,18 @@ from pts_kernel.terms import App, Const, HOLE, Lam, Var, alpha_eq, app
 
 def _term(src, env):
     return elaborate(parse_term_surface(src), env)
+
+
+def _observations(env, t, strategy, steps):
+    """Observable states of the first ``steps`` trace rows: readbacks under
+    head-linear, with consecutive equal states merged."""
+    tr = trace(env, t, strategy, steps, fold=False)
+    states = []
+    for term in [tr.start] + [s.raw for s in tr.steps]:
+        obs = readback(term) if strategy == HEAD_LINEAR else term
+        if not states or not alpha_eq(obs, states[-1]):
+            states.append(obs)
+    return states
 
 
 # -- head-def steps ----------------------------------------------------------
@@ -200,18 +211,16 @@ def test_detect_loop_refined_absent(refined):
 
 def test_loop_report_is_sound(simple):
     report = detect_loop(simple.env, simple.key_terms["bottomProof"], HEAD_DEF, 10)
-    states = replay_states(
-        simple.env, simple.key_terms["bottomProof"], HEAD_DEF, report.entry + report.period
-    )
+    states = _observations(simple.env, simple.key_terms["bottomProof"], HEAD_DEF, report.steps)
+    assert len(states) == report.entry + report.period + 1
     assert alpha_eq(states[report.entry], states[report.entry + report.period])
 
 
 def test_detect_loop_head_linear_simple(simple):
     report = detect_loop(simple.env, simple.key_terms["bottomProof"], HEAD_LINEAR, 50)
     assert report.found
-    states = replay_states(
-        simple.env, simple.key_terms["bottomProof"], HEAD_LINEAR, report.entry + report.period
-    )
+    states = _observations(simple.env, simple.key_terms["bottomProof"], HEAD_LINEAR, report.steps)
+    assert len(states) == report.entry + report.period + 1
     assert alpha_eq(states[report.entry], states[report.entry + report.period])
 
 

@@ -5,7 +5,7 @@ from pts_kernel.errors import TypeCheckError
 from pts_kernel.parser import elaborate, parse_term_surface
 from pts_kernel.specs import LAMBDA_U_MINUS
 from pts_kernel.terms import BOX_T, Const, Lam, Pi, SortT, alpha_eq, app
-from pts_kernel.typecheck import check, convert, infer, whnf
+from pts_kernel.typecheck import Fuel, check, convert, infer, whnf
 
 
 def _term(src, env):
@@ -144,9 +144,20 @@ def test_hol_typable_terms_agree_under_u_minus(simple, refined):
 
 
 def test_whnf_of_looping_term_exhausts_fuel(simple):
+    for fuel, budget in ((None, 100_000), (Fuel(10), 10)):
+        with pytest.raises(TypeCheckError) as err:
+            whnf(simple.env, simple.key_terms["bottomProof"], fuel=fuel)
+        assert err.value.kind == "FuelExhausted"
+        assert str(err.value) == f"FuelExhausted: conversion exceeded {budget} head steps"
+
+
+@pytest.mark.parametrize(
+    "src, what", [("forall (x : x₀), A", "product domain"), ("forall (x : A), x", "product codomain")]
+)
+def test_not_a_sort_names_the_position(simple, src, what):
     with pytest.raises(TypeCheckError) as err:
-        whnf(simple.env, simple.key_terms["bottomProof"])
-    assert err.value.kind == "FuelExhausted"
+        infer(simple.env, _term(src, simple.env))
+    assert str(err.value) == f"NotASort: {what} is not classified by a sort"
 
 
 def test_let_definition_is_transparent_in_body(simple):
