@@ -222,10 +222,11 @@ def _observe(strategy: str, t: Term) -> Term:
 
 def _walk(
     env: GlobalEnv, t: Term, strategy: str, limit: int
-) -> Iterator[tuple[tuple[str, str, Term], Optional[tuple[int, int]]]]:
-    """Step ``t`` at most ``limit`` times, yielding ``(step, loop)`` per step.
+) -> Iterator[tuple[tuple[str, str, Term], Term, Optional[tuple[int, int]]]]:
+    """Step ``t`` at most ``limit`` times, yielding ``(step, key, loop)`` per step.
 
-    ``step`` is the stepper's ``(kind, detail, term)``.  Observable states are
+    ``step`` is the stepper's ``(kind, detail, term)`` and ``key`` the
+    observation of its term (the readback under head-linear).  Observable states are
     numbered from 0 at ``t``; a step that leaves the state unchanged makes no
     new observation.  ``loop`` is None until a step revisits observation
     ``entry``, when it is ``(entry, period)`` and the walk ends.  The walk also
@@ -244,11 +245,11 @@ def _walk(
         if key != prev_key:
             entry = seen.get(key)
             if entry is not None:
-                yield result, (entry, len(seen) - entry)
+                yield result, key, (entry, len(seen) - entry)
                 return
             seen[key] = len(seen)
             prev_key = key
-        yield result, None
+        yield result, key, None
 
 
 def trace(
@@ -262,7 +263,7 @@ def trace(
     detected state repetition, or ``max_steps``."""
     disp = (lambda x: fold_display(x, env)) if fold else (lambda x: plain_display(x, env))
     out = Trace(start=t, start_display=disp(t))
-    for index, ((kind, detail, cur), loop) in enumerate(_walk(env, t, strategy, max_steps), 1):
+    for index, ((kind, detail, cur), _, loop) in enumerate(_walk(env, t, strategy, max_steps), 1):
         out.steps.append(TraceStep(index, kind, detail, cur, disp(cur)))
         if loop is not None:
             out.stopped = "loop"
@@ -290,7 +291,7 @@ def detect_loop(
     if mode is not None:
         env, t = erase_env(env, mode), erase(t, mode, env=env)
     steps = 0
-    for steps, (_, loop) in enumerate(_walk(env, t, strategy, bound), 1):
+    for steps, (_, _, loop) in enumerate(_walk(env, t, strategy, bound), 1):
         if loop is not None:
             return LoopReport(True, *loop, bound, steps=steps)
     return LoopReport(False, 0, 0, bound, steps=steps)

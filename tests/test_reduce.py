@@ -2,15 +2,17 @@ import pytest
 
 from naive_reducer import is_subsequence, naive_head_step, naive_states
 
+from pts_kernel.corpus import BUNDLE_IDS, get_bundle
 from pts_kernel.display import fold_display
-from pts_kernel.env import unfold_all
-from pts_kernel.errors import ErasureNeedsTypesError
+from pts_kernel.env import GlobalEnv, unfold_all
+from pts_kernel.errors import ErasureNeedsTypesError, KernelError
 from pts_kernel.parser import elaborate, parse_term_surface
 from pts_kernel.reduce import (
     ANNOTATIONS,
     HEAD_DEF,
     HEAD_LINEAR,
     POLY,
+    _walk,
     detect_loop,
     erase,
     erase_env,
@@ -19,7 +21,8 @@ from pts_kernel.reduce import (
     readback,
     trace,
 )
-from pts_kernel.terms import App, Const, HOLE, Lam, Var, alpha_eq, app
+from pts_kernel.specs import PRESETS
+from pts_kernel.terms import App, Const, HOLE, Lam, STAR_T, Var, alpha_eq, app
 
 
 def _term(src, env):
@@ -222,6 +225,71 @@ def test_detect_loop_head_linear_simple(simple):
     states = _observations(simple.env, simple.key_terms["bottomProof"], HEAD_LINEAR, report.steps)
     assert len(states) == report.entry + report.period + 1
     assert alpha_eq(states[report.entry], states[report.entry + report.period])
+
+
+# -- head-linear observations ------------------------------------------------
+
+
+def _check_linear_walk(env, t, steps):
+    """Take ``steps`` head-linear steps through ``_walk`` (restarting it where
+    a loop or a normal form ends it) and check every state and observation
+    against a fresh ``head_linear_step`` and a full ``readback``.  Returns the
+    number of steps taken."""
+    cur, taken = t, 0
+    while taken < steps:
+        before = taken
+        tr = trace(env, cur, HEAD_LINEAR, steps - taken, fold=False)
+        walked = list(_walk(env, cur, HEAD_LINEAR, steps - taken))
+        assert len(walked) == len(tr.steps)
+        for ((kind, detail, state), key, _), row in zip(walked, tr.steps):
+            ref = head_linear_step(env, cur)
+            assert ref is not None and (kind, detail) == ref[:2]
+            assert alpha_eq(state, ref[2]) and alpha_eq(state, row.raw)
+            assert alpha_eq(key, readback(row.raw))
+            cur = state
+            taken += 1
+        if tr.stopped == "head-normal" or taken == before:
+            break
+    return taken
+
+
+@pytest.mark.parametrize("mode", [None, ANNOTATIONS, POLY])
+@pytest.mark.parametrize("bundle_id", BUNDLE_IDS)
+def test_head_linear_observations_are_readbacks(bundle_id, mode):
+    bundle = get_bundle(bundle_id)
+    env, t = bundle.env, bundle.key_terms["bottomProof"]
+    if mode is not None:
+        env, t = erase_env(env, mode), erase(t, mode, env=env)
+    assert _check_linear_walk(env, t, 100) == 100
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        # the head path runs through an unapplied fun
+        "fun (z : A) => l₂ p₀ l₂ l₁",
+        # a let at the head
+        "let y : A := x₀ in (fun (z : A) => z) y",
+        # a let under an applied fun
+        "(fun (x : A) => let y : A := x in l₁ y) x₀ l₂",
+        # an over-applied head
+        "(fun (x : Pow A -> Pow A) => x) (fun (p : Pow A) => p) p₀ x₀",
+        # an under-applied head
+        "(fun (x : A) (h : p₀ x) => l₁ x h) x₀",
+    ],
+)
+def test_head_linear_observations_off_the_fast_path(simple, src):
+    t = _term(src, simple.env)
+    assert _check_linear_walk(simple.env, t, 40) > 0
+
+
+def test_self_reducing_state_exceeds_readback_budget():
+    x = Var(0, "x")
+    delta = Lam("x", STAR_T, App(x, x))
+    omega = App(delta, delta)
+    env = GlobalEnv(PRESETS["lambda-hol"])
+    with pytest.raises(KernelError, match="^readback exceeded its contraction budget$"):
+        detect_loop(env, omega, HEAD_LINEAR, 10)
 
 
 # -- erasure ------------------------------------------------------------------
