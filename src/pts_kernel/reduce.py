@@ -9,6 +9,21 @@ the head variable or constant by its binding, leaving the surrounding redex in
 place.  Its observable state is the readback that flattens pending spine
 substitutions.
 
+Head-linear reduction runs on a resumable machine (``_LinearMachine``) that
+keeps a zipper on the head path: the nodes from the root to the tip, what
+each binder on the path is bound to, the arguments no binder has consumed
+yet, and the binder depth.  A step replaces the occurrence at the tip and
+leaves the path above it unchanged, so the next step resumes at the tip
+instead of walking down from the root; the full state term is rebuilt only
+when a caller asks for it (``trace`` does, loop search does not).  The
+machine also keeps the readback of its state up to date.  While no
+unapplied ``fun`` lies on the path, a linear substitution leaves the readback
+unchanged, and a delta-unfold of ``c`` turns a readback ``c a1 .. an`` into
+``readback(body a1 .. an)``.  Otherwise (an unapplied ``fun`` on the path,
+or a readback whose head is not ``c``) it reads back the rebuilt state in
+full.  Each readback has its own contraction budget.  ``head_linear_step`` is
+one step of a fresh machine.
+
 Erasure comes in two modes.  ``annotations`` drops binder annotations and
 turns type-level subterms (sorts and products in term position) into an opaque
 leaf, preserving the applicative skeleton exactly.  ``poly`` additionally
@@ -16,7 +31,6 @@ deletes abstractions over the box/triangle sorts together with the matching
 arguments at application sites, which needs a typed environment to classify
 applications.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -116,64 +130,119 @@ def head_def_step(env: GlobalEnv, t: Term) -> Optional[tuple[str, str, Term]]:
     return None
 
 
+class _LinearMachine:
+    """The head-linear machine: a zipper on the head path of one state.
+
+    ``frames`` holds the nodes from the root down to the ``tip``, the subterm
+    the next step starts from.  ``bindings`` holds, per binder on the path
+    (innermost last), ``(value, depth)`` for an applied ``fun`` or a ``let``
+    and None for an unapplied ``fun`` (``open`` counts those); ``pending``
+    holds the arguments no binder has consumed yet.  A step replaces the
+    head occurrence at the tip and leaves the path above it unchanged, so the
+    path only grows and the next step resumes at the tip.
+    """
+
+    def __init__(self, env: GlobalEnv, t: Term) -> None:
+        self.env = env
+        self.tip = t
+        self.frames: list[Term] = []
+        self.bindings: list[Optional[tuple[Term, int]]] = []
+        self.pending: list[tuple[Term, int]] = []
+        self.depth = 0
+        self.open = 0
+        self.kind = ""
+        self.name = ""  # the constant the last delta-unfold replaced
+        self._obs: Optional[Term] = None  # readback of the state, once asked for
+
+    def step(self) -> Optional[str]:
+        """Replace the head occurrence by its binding; return the step's
+        kind, or None when the state is linear-normal."""
+        frames, bindings, pending = self.frames, self.bindings, self.pending
+        depth = self.depth
+        cur = self.tip
+        while True:
+            cls = type(cur)
+            if cls is App:
+                frames.append(cur)
+                pending.append((cur.arg, depth))
+                cur = cur.fn
+            elif cls is Lam or cls is Let:
+                if cls is Let:
+                    bindings.append((cur.defn, depth))
+                elif pending:
+                    bindings.append(pending.pop())
+                else:
+                    bindings.append(None)
+                    self.open += 1
+                frames.append(cur)
+                depth += 1
+                cur = cur.body
+            else:
+                break
+        self.tip, self.depth = cur, depth
+        if cls is Var:
+            if cur.index >= len(bindings):
+                return None  # free in the ambient context
+            binding = bindings[-1 - cur.index]
+            if binding is None:
+                return None  # bound by an unapplied fun
+            new = shift(binding[0], depth - binding[1])
+            kind = LINEAR_SUBST
+        elif cls is Const:
+            new = self.env.def_body(cur.name)
+            if new is None:
+                return None  # opaque; head rewrite rules are not fired
+            kind, self.name = DELTA_UNFOLD, cur.name
+        else:
+            return None  # sort or product at head
+        self.tip, self.kind = new, kind
+        obs = self._obs
+        if obs is not None:
+            # With no unapplied fun on the path the readback has substituted
+            # every binder on it: a linear substitution leaves it unchanged,
+            # and a delta-unfold replaces its head constant.
+            if self.open:
+                self._obs = None
+            elif kind == DELTA_UNFOLD:
+                head, args = spine(obs)
+                same = type(head) is Const and head.name == self.name
+                self._obs = readback(app(new, *args)) if same else None
+        return kind
+
+    def observation(self) -> Term:
+        """``readback`` of the current state."""
+        if self._obs is None:
+            self._obs = readback(self.term())
+        return self._obs
+
+    def detail(self) -> str:
+        """The last step's unfolded constant, or the path of its occurrence."""
+        if self.kind == DELTA_UNFOLD:
+            return self.name
+        return ".".join("fn" if type(f) is App else "body" for f in self.frames) or "(root)"
+
+    def term(self) -> Term:
+        """The current state, rebuilt from the tip up."""
+        t = self.tip
+        for node in reversed(self.frames):
+            if type(node) is App:
+                t = App(t, node.arg)
+            elif type(node) is Lam:
+                t = Lam(node.hint, node.dom, t)
+            else:
+                t = Let(node.hint, node.ann, node.defn, t)
+        return t
+
+
 def head_linear_step(env: GlobalEnv, t: Term) -> Optional[tuple[str, str, Term]]:
     """Replace the single head occurrence by its binding, or None.
 
     Head rewrite rules are not fired by this strategy; an opaque-constant
     head is linear-normal.
     """
-    frames: list[tuple[str, Term]] = []
-    bindings: list[tuple] = []  # innermost last: (tag, value, depth) or ("open",)
-    pending: list[tuple[Term, int]] = []
-    path: list[str] = []
-    depth = 0
-    cur = t
-    new: Term
-    kind: str
-    detail: str
-    while True:
-        if isinstance(cur, App):
-            frames.append(("app", cur))
-            pending.append((cur.arg, depth))
-            path.append("fn")
-            cur = cur.fn
-        elif isinstance(cur, Lam):
-            bindings.append(("arg", *pending.pop()) if pending else ("open",))
-            frames.append(("lam", cur))
-            path.append("body")
-            depth += 1
-            cur = cur.body
-        elif isinstance(cur, Let):
-            bindings.append(("let", cur.defn, depth))
-            frames.append(("let", cur))
-            path.append("body")
-            depth += 1
-            cur = cur.body
-        elif isinstance(cur, Var):
-            if cur.index >= len(bindings):
-                return None  # free in the ambient context
-            binding = bindings[len(bindings) - 1 - cur.index]
-            if binding[0] == "open":
-                return None  # bound by an unapplied lambda: linear-normal
-            new = shift(binding[1], depth - binding[2])
-            kind, detail = LINEAR_SUBST, ".".join(path) or "(root)"
-            break
-        elif isinstance(cur, Const):
-            body = env.def_body(cur.name)
-            if body is None:
-                return None
-            new, kind, detail = body, DELTA_UNFOLD, cur.name
-            break
-        else:
-            return None  # sort or product at head
-    for tag, node in reversed(frames):
-        if tag == "app":
-            new = App(new, node.arg)
-        elif tag == "lam":
-            new = Lam(node.hint, node.dom, new)
-        else:
-            new = Let(node.hint, node.ann, node.defn, new)
-    return kind, detail, new
+    machine = _LinearMachine(env, t)
+    kind = machine.step()
+    return None if kind is None else (kind, machine.detail(), machine.term())
 
 
 READBACK_BUDGET = 65536  # redex contractions allowed in one readback
@@ -208,40 +277,43 @@ def readback(t: Term) -> Term:
             raise KernelError("readback exceeded its contraction budget")
 
 
-def _stepper(strategy: str):
-    if strategy == HEAD_DEF:
-        return head_def_step
-    if strategy == HEAD_LINEAR:
-        return head_linear_step
-    raise KernelError(f"unknown strategy {strategy!r}")
-
-
-def _observe(strategy: str, t: Term) -> Term:
-    return readback(t) if strategy == HEAD_LINEAR else t
-
-
 def _walk(
-    env: GlobalEnv, t: Term, strategy: str, limit: int
-) -> Iterator[tuple[tuple[str, str, Term], Term, Optional[tuple[int, int]]]]:
+    env: GlobalEnv, t: Term, strategy: str, limit: int, rows: bool = True
+) -> Iterator[tuple[tuple, Term, Optional[tuple[int, int]]]]:
     """Step ``t`` at most ``limit`` times, yielding ``(step, key, loop)`` per step.
 
-    ``step`` is the stepper's ``(kind, detail, term)`` and ``key`` the
-    observation of its term (the readback under head-linear).  Observable states are
+    ``step`` is ``(kind, detail, term)``; with ``rows`` false the head-linear
+    machine leaves detail and term unbuilt (None), as loop search needs
+    neither.  ``key`` is the observation of the new state: the state under
+    head-def, its readback under head-linear.  Observable states are
     numbered from 0 at ``t``; a step that leaves the state unchanged makes no
     new observation.  ``loop`` is None until a step revisits observation
     ``entry``, when it is ``(entry, period)`` and the walk ends.  The walk also
     ends on a head-normal form.
     """
-    step = _stepper(strategy)
-    prev_key = _observe(strategy, t)
+    linear = strategy == HEAD_LINEAR
+    if linear:
+        machine = _LinearMachine(env, t)
+        prev_key = machine.observation()
+    elif strategy == HEAD_DEF:
+        prev_key = t
+    else:
+        raise KernelError(f"unknown strategy {strategy!r}")
     seen = {prev_key: 0}
     cur = t
     for _ in range(limit):
-        result = step(env, cur)
-        if result is None:
-            return
-        cur = result[2]
-        key = _observe(strategy, cur)
+        result: tuple
+        if linear:
+            kind = machine.step()
+            if kind is None:
+                return
+            key = machine.observation()
+            result = (kind, machine.detail(), machine.term()) if rows else (kind, None, None)
+        else:
+            result = head_def_step(env, cur)
+            if result is None:
+                return
+            cur = key = result[2]
         if key != prev_key:
             entry = seen.get(key)
             if entry is not None:
@@ -291,7 +363,7 @@ def detect_loop(
     if mode is not None:
         env, t = erase_env(env, mode), erase(t, mode, env=env)
     steps = 0
-    for steps, (_, _, loop) in enumerate(_walk(env, t, strategy, bound), 1):
+    for steps, (_, _, loop) in enumerate(_walk(env, t, strategy, bound, rows=False), 1):
         if loop is not None:
             return LoopReport(True, *loop, bound, steps=steps)
     return LoopReport(False, 0, 0, bound, steps=steps)
