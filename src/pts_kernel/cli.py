@@ -27,8 +27,42 @@ from .typecheck import check, convert
 
 @dataclass
 class ReportLine:
+    """One judgment of a report.  ``parts`` are strings and terms; the terms
+    are rendered against the environment of the line's directive (``at``)
+    when the text is first read."""
+
     ok: bool
-    text: str
+    parts: tuple
+    at: Optional["_EnvAt"] = None
+    raw: bool = False
+
+    @property
+    def text(self) -> str:
+        if self.at is not None:
+            env = self.at.env()
+            show = raw_display if self.raw else fold_display
+            self.parts = tuple(p if isinstance(p, str) else show(p, env) for p in self.parts)
+            self.at = None  # the rebuilt environment goes once its lines are read
+        return "".join(self.parts)
+
+
+class _EnvAt:
+    """The environment a directive ran in, kept as its signature and entry
+    count and rebuilt when a line needs it.
+
+    A run's entries only grow, so ``latest[0]``, the run's newest entries,
+    starts with this environment's.  Keeping every intermediate
+    ``GlobalEnv`` alive instead would keep a name table per directive.
+    """
+
+    def __init__(self, env: GlobalEnv, latest: list) -> None:
+        self.spec, self.size, self.latest = env.spec, len(env.entries), latest
+        self._env: Optional[GlobalEnv] = None
+
+    def env(self) -> GlobalEnv:
+        if self._env is None:
+            self._env = GlobalEnv(self.spec, self.latest[0][: self.size])
+        return self._env
 
 
 @dataclass
@@ -50,24 +84,32 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
     """Execute a development file: build the environment, run its directives.
 
     Stops at the first failing directive; the report records every judgment
-    with folded displays (or fully unfolded ones when ``raw`` is set).  A
-    ``system_override`` replaces only the ``system`` header: ``axiom`` and
-    ``rule`` directives still extend the chosen signature.
+    with folded displays (or fully unfolded ones when ``raw`` is set),
+    rendered when the report is.  A ``system_override`` replaces only the
+    ``system`` header: ``axiom`` and ``rule`` directives still extend the
+    chosen signature.
     """
     report = Report()
     try:
         directives = parse_program(src)
     except ParseError as err:
         report.error = err
-        report.lines.append(ReportLine(False, f"parse error: {err}"))
+        report.lines.append(ReportLine(False, (f"parse error: {err}",)))
         return report
 
     spec = PRESETS[system_override] if system_override else None
     env = GlobalEnv(spec if spec is not None else PRESETS["lambda-hol"])
     started = False
 
-    def disp(t: Term) -> str:
-        return raw_display(t, env) if raw else fold_display(t, env)
+    latest = [env.entries]
+    at: Optional[_EnvAt] = None
+
+    def say(ok: bool, *parts: object, raw: bool = raw) -> None:
+        nonlocal at
+        latest[0] = env.entries
+        if at is None or at.size != len(env.entries) or at.spec is not env.spec:
+            at = _EnvAt(env, latest)
+        report.lines.append(ReportLine(ok, parts, at, raw))
 
     for d in directives:
         try:
@@ -80,62 +122,56 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
                     chosen = _resolve_system(d)
                     if spec is None:
                         env = env.with_spec(chosen)
-                        report.lines.append(ReportLine(True, f"system {chosen.name}"))
+                        say(True, f"system {chosen.name}")
                     else:
-                        report.lines.append(
-                            ReportLine(True, f"system {d.name} (overridden: {spec.name})")
-                        )
+                        say(True, f"system {d.name} (overridden: {spec.name})")
                 elif d.kind == "axiom":
                     s1, s2 = (SORT_BY_TOKEN[s] for s in d.parts)
                     env = env.with_spec(with_axiom(env.spec, s1, s2))
-                    report.lines.append(ReportLine(True, f"axiom {d.parts[0]} : {d.parts[1]}"))
+                    say(True, f"axiom {d.parts[0]} : {d.parts[1]}")
                 else:
                     s1, s2, s3 = (SORT_BY_TOKEN[s] for s in d.parts)
                     env = env.with_spec(with_rule(env.spec, s1, s2, s3))
-                    report.lines.append(
-                        ReportLine(True, f"rule {d.parts[0]} {d.parts[1]} : {d.parts[2]}")
-                    )
+                    say(True, f"rule {d.parts[0]} {d.parts[1]} : {d.parts[2]}")
                 continue
             started = True
             if d.kind == "const":
                 ty = elaborate(d.parts[0], env)
                 env = add_entry(env, Decl(d.name, ty))
-                report.lines.append(ReportLine(True, f"const {d.name} : {disp(ty)}"))
+                say(True, f"const {d.name} : ", ty)
             elif d.kind == "def":
                 ty = elaborate(d.parts[0], env)
                 body = elaborate(d.parts[1], env)
                 env = add_entry(env, Def(d.name, ty, body))
-                report.lines.append(ReportLine(True, f"def {d.name} : {disp(ty)}"))
+                say(True, f"def {d.name} : ", ty)
             elif d.kind == "rewrite":
                 rule = build_rewrite(env, d.name, d.parts[0], d.parts[1])
                 env = add_entry(env, rule)
-                report.lines.append(ReportLine(True, f"rewrite {d.name}"))
+                say(True, f"rewrite {d.name}")
             elif d.kind == "check":
                 t = elaborate(d.parts[0], env)
                 ty = elaborate(d.parts[1], env)
                 check(env, t, ty)
-                report.lines.append(ReportLine(True, f"check {disp(t)} : {disp(ty)}"))
+                say(True, "check ", t, " : ", ty)
             elif d.kind == "conv":
                 a = elaborate(d.parts[0], env)
                 b = elaborate(d.parts[1], env)
                 if convert(env, a, b):
-                    report.lines.append(ReportLine(True, f"conv {disp(a)} == {disp(b)}"))
+                    say(True, "conv ", a, " == ", b)
                 else:
-                    report.lines.append(
-                        ReportLine(False, f"conv {disp(a)} =/= {disp(b)}")
-                    )
+                    say(False, "conv ", a, " =/= ", b)
                     report.failed_entry = "conv"
                     return report
             elif d.kind == "trace":
                 t = elaborate(d.parts[0], env)
                 tr = trace(env, t, HEAD_DEF, d.parts[1])
-                report.lines.append(ReportLine(True, f"trace {disp(t)} [{tr.stopped}]"))
-                for row in tr.displays:
-                    report.lines.append(ReportLine(True, f"  {row}"))
+                say(True, "trace ", t, f" [{tr.stopped}]")
+                for row in [tr.start] + [s.raw for s in tr.steps]:
+                    say(True, "  ", row, raw=False)  # rows are folded even in a raw report
         except KernelError as err:
             report.error = err
             report.failed_entry = d.name or d.kind
-            report.lines.append(ReportLine(False, f"{d.kind} {d.name or ''}: {err}".strip()))
+            say(False, f"{d.kind} {d.name or ''}: {err}".strip())
             return report
     report.env = env
     return report
@@ -168,6 +204,11 @@ def _load_target(target: str, system_override: Optional[str]) -> tuple[GlobalEnv
     return report.env, names
 
 
+def _require_count(flag: str, value: int) -> None:
+    if value < 0:
+        raise KernelError(f"{flag} must be 0 or more, not {value}")
+
+
 def _resolve_term(terms: dict, name: str, target: str) -> Term:
     if name not in terms:
         raise KernelError(f"unknown term {name!r} in {target}")
@@ -186,6 +227,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    _require_count("--steps", args.steps)
     env, terms = _load_target(args.target, args.system)
     t = _resolve_term(terms, args.term, args.target)
     if args.erase:
@@ -212,6 +254,7 @@ def cmd_erase(args: argparse.Namespace) -> int:
 
 
 def cmd_loop(args: argparse.Namespace) -> int:
+    _require_count("--bound", args.bound)
     env, terms = _load_target(args.target, args.system)
     t = _resolve_term(terms, args.term, args.target)
     report = detect_loop(env, t, args.strategy, args.bound, mode=args.erase)
@@ -280,6 +323,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: the input nests too deeply", file=sys.stderr)
         return 1
 
 

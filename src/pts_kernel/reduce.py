@@ -34,7 +34,7 @@ applications.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .display import fold_display, plain_display
 from .env import Def, GlobalEnv, Rewrite
@@ -78,15 +78,25 @@ class TraceStep:
     kind: str  # delta-unfold | beta-contract | rewrite-fire | linear-subst
     detail: str  # unfolded name, beta count, rule name, or occurrence path
     raw: Term
-    display: str
+    show: Callable[[Term], str] = field(repr=False, compare=False)
+
+    @property
+    def display(self) -> str:
+        return self.show(self.raw)
 
 
 @dataclass
 class Trace:
+    """A reduction trace; rows are rendered each time they are read."""
+
     start: Term
-    start_display: str
+    show: Callable[[Term], str] = field(repr=False, compare=False)
     steps: list[TraceStep] = field(default_factory=list)
     stopped: str = "max-steps"  # head-normal | max-steps | loop
+
+    @property
+    def start_display(self) -> str:
+        return self.show(self.start)
 
     @property
     def displays(self) -> list[str]:
@@ -334,9 +344,9 @@ def trace(
     """Step ``t``, recording one row per event; stops on head-normal forms,
     detected state repetition, or ``max_steps``."""
     disp = (lambda x: fold_display(x, env)) if fold else (lambda x: plain_display(x, env))
-    out = Trace(start=t, start_display=disp(t))
+    out = Trace(start=t, show=disp)
     for index, ((kind, detail, cur), _, loop) in enumerate(_walk(env, t, strategy, max_steps), 1):
-        out.steps.append(TraceStep(index, kind, detail, cur, disp(cur)))
+        out.steps.append(TraceStep(index, kind, detail, cur, disp))
         if loop is not None:
             out.stopped = "loop"
             return out

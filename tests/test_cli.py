@@ -1,8 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from pts_kernel import cli, display, reduce
 from pts_kernel.cli import main, run_program
 from pts_kernel.corpus import BUNDLE_IDS
 
@@ -13,6 +18,79 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_check_corpus_files_exit_zero(capsys):
     for path in sorted(CORPUS.glob("*.pts")):
         assert main(["check", str(path)]) == 0, capsys.readouterr().out
+
+
+def test_check_corpus_bytes_match_golden(capsys):
+    # sha256 of `pts check` stdout per corpus file, plain and --raw
+    got = []
+    for path in sorted(CORPUS.glob("*.pts")):
+        for flags in ([], ["--raw"]):
+            assert main(["check", str(path)] + flags) == 0
+            digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+            got.append(f"{digest}  {' '.join([path.name] + flags)}\n")
+    assert "".join(got) == (GOLDEN / "check-corpus.sha256").read_text(encoding="utf-8")
+
+
+def test_file_target_load_renders_nothing(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = display.fold_display
+    for module in (display, cli, reduce):
+        monkeypatch.setattr(module, "fold_display", counting)
+    f = tmp_path / "dev.pts"
+    f.write_text(
+        (CORPUS / "refined-axiomatic.pts").read_text(encoding="utf-8") + "trace (l₀ p₀ l₂ l₁) 3.\n",
+        encoding="utf-8",
+    )
+    assert main(["loop", str(f), "x₀", "--bound", "5"]) == 0
+    assert capsys.readouterr().out == "found=false no repetition (bound=5, steps=1)\n"
+    assert calls == []
+    # The report still renders every line when it is read.
+    assert "trace l₀ p₀ l₂ l₁ [max-steps]" in run_program(f.read_text(encoding="utf-8")).render()
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["loop", "simple", "bottomProof", "--bound", "-5"], "--bound"),
+        (["trace", "simple", "bottomProof", "--steps", "-1"], "--steps"),
+    ],
+)
+def test_negative_counts_are_refused(capsys, argv, flag):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {flag} must be 0 or more")
+
+
+def test_zero_counts_are_allowed(capsys):
+    assert main(["loop", "simple", "bottomProof", "--bound", "0"]) == 0
+    assert capsys.readouterr().out == "found=false no repetition (bound=0, steps=0)\n"
+    assert main(["trace", "simple", "bottomProof", "--steps", "0"]) == 0
+    assert capsys.readouterr().out == "l₂ p₀ l₂ l₁\n"
+
+
+def test_deep_nesting_is_refused_without_traceback(tmp_path):
+    depth = 20000
+    f = tmp_path / "deep.pts"
+    f.write_text(
+        "const A : *.\nconst f : A -> A.\nconst a : A.\n"
+        f"check {'f (' * depth}a{')' * depth} : A.\n",
+        encoding="utf-8",
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pts_kernel", "check", str(f)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "nests too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
 
 
 def test_check_reynolds_under_hol_fails(capsys):
