@@ -28,41 +28,21 @@ from .typecheck import check, convert
 @dataclass
 class ReportLine:
     """One judgment of a report.  ``parts`` are strings and terms; the terms
-    are rendered against the environment of the line's directive (``at``)
+    are rendered against ``env``, the environment of the line's directive,
     when the text is first read."""
 
     ok: bool
     parts: tuple
-    at: Optional["_EnvAt"] = None
+    env: Optional[GlobalEnv] = None
     raw: bool = False
 
     @property
     def text(self) -> str:
-        if self.at is not None:
-            env = self.at.env()
+        if self.env is not None:
             show = raw_display if self.raw else fold_display
-            self.parts = tuple(p if isinstance(p, str) else show(p, env) for p in self.parts)
-            self.at = None  # the rebuilt environment goes once its lines are read
+            self.parts = tuple(p if isinstance(p, str) else show(p, self.env) for p in self.parts)
+            self.env = None
         return "".join(self.parts)
-
-
-class _EnvAt:
-    """The environment a directive ran in, kept as its signature and entry
-    count and rebuilt when a line needs it.
-
-    A run's entries only grow, so ``latest[0]``, the run's newest entries,
-    starts with this environment's.  Keeping every intermediate
-    ``GlobalEnv`` alive instead would keep a name table per directive.
-    """
-
-    def __init__(self, env: GlobalEnv, latest: list) -> None:
-        self.spec, self.size, self.latest = env.spec, len(env.entries), latest
-        self._env: Optional[GlobalEnv] = None
-
-    def env(self) -> GlobalEnv:
-        if self._env is None:
-            self._env = GlobalEnv(self.spec, self.latest[0][: self.size])
-        return self._env
 
 
 @dataclass
@@ -85,8 +65,10 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
 
     Stops at the first failing directive; the report records every judgment
     with folded displays (or fully unfolded ones when ``raw`` is set),
-    rendered when the report is.  A ``system_override`` replaces only the
-    ``system`` header: ``axiom`` and ``rule`` directives still extend the
+    rendered when the report is, each against the environment its directive
+    ran in.  Those environments are views of one entry table, so keeping
+    them costs a reference per line.  A ``system_override`` replaces only
+    the ``system`` header: ``axiom`` and ``rule`` directives still extend the
     chosen signature.
     """
     report = Report()
@@ -101,15 +83,8 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
     env = GlobalEnv(spec if spec is not None else PRESETS["lambda-hol"])
     started = False
 
-    latest = [env.entries]
-    at: Optional[_EnvAt] = None
-
     def say(ok: bool, *parts: object, raw: bool = raw) -> None:
-        nonlocal at
-        latest[0] = env.entries
-        if at is None or at.size != len(env.entries) or at.spec is not env.spec:
-            at = _EnvAt(env, latest)
-        report.lines.append(ReportLine(ok, parts, at, raw))
+        report.lines.append(ReportLine(ok, parts, env, raw))
 
     for d in directives:
         try:
@@ -249,7 +224,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_erase(args: argparse.Namespace) -> int:
     env, terms = _load_target(args.target, args.system)
     t = _resolve_term(terms, args.term, args.target)
-    print(plain_display(erase(t, args.erase, env=env), env))
+    print(plain_display(erase(t, args.erase, env=env)))
     return 0
 
 

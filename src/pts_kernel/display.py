@@ -15,23 +15,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .env import GlobalEnv, Def
-from .terms import (
-    App,
-    BOX,
-    Const,
-    HOLE,
-    Lam,
-    Let,
-    Pi,
-    SortT,
-    TRIANGLE,
-    Term,
-    Var,
-    spine,
-    subst,
-    try_unshift,
-)
+from .env import GlobalEnv, unfold_all
+from .errors import TypeCheckError
+from .terms import App, BOX, Const, Lam, Let, Pi, SortT, TRIANGLE, Term, Var, spine, try_unshift
 
 # Precedence levels, loosest first.
 _BINDER = 0
@@ -67,59 +53,17 @@ def fold_display(
 
     ``scope`` names any dangling indices, innermost first.
     """
-    fold_index = _fold_index(env) if env is not None else {}
-    memo: dict[Term, Term] = {}
-    return _render(t, _BINDER, list(scope or []), env, fold_index, memo, True)
+    return _render(t, _BINDER, list(scope or []), env, {})
 
 
-def plain_display(t: Term, env: Optional[GlobalEnv] = None) -> str:
+def plain_display(t: Term) -> str:
     """Print ``t`` with no re-folding and no notations."""
-    return _render(t, _BINDER, [], env, {}, {}, False)
+    return _render(t, _BINDER, [], None, None)
 
 
 def raw_display(t: Term, env: GlobalEnv) -> str:
     """Fully unfolded, fold-free print (the ``--raw`` rendering)."""
-    from .env import unfold_all
-
-    return plain_display(unfold_all(env, t), env)
-
-
-def _fold_index(env: GlobalEnv) -> dict[Term, str]:
-    if env._fold_index is None:
-        from .env import unfold_all
-
-        index: dict[Term, str] = {}
-        for entry in env.entries:
-            if isinstance(entry, Def):
-                index[unfold_all(env, Const(entry.name))] = entry.name
-        env._fold_index = index
-    return env._fold_index
-
-
-def _unfolded(t: Term, env: GlobalEnv, memo: dict[Term, Term]) -> Term:
-    """unfold_all with sharing across sibling subterms of one display call."""
-    hit = memo.get(t)
-    if hit is not None:
-        return hit
-    match t:
-        case Const(name):
-            if name == HOLE.name or name not in env:
-                out = t
-            else:
-                entry = env.lookup(name)
-                out = _unfolded(entry.body, env, memo) if isinstance(entry, Def) else t
-        case App(f, a):
-            out = App(_unfolded(f, env, memo), _unfolded(a, env, memo))
-        case Lam(h, dom, body):
-            out = Lam(h, _unfolded(dom, env, memo), _unfolded(body, env, memo))
-        case Pi(h, dom, cod):
-            out = Pi(h, _unfolded(dom, env, memo), _unfolded(cod, env, memo))
-        case Let(_, _, d, b):
-            out = _unfolded(subst(b, d), env, memo)
-        case _:
-            out = t
-    memo[t] = out
-    return out
+    return plain_display(unfold_all(env, t))
 
 
 def _render(
@@ -127,24 +71,27 @@ def _render(
     prec: int,
     scope: list[str],
     env: Optional[GlobalEnv],
-    fold_index: dict[Term, str],
-    memo: dict[Term, Term],
-    notations: bool,
+    memo: Optional[dict[Term, Term]],
 ) -> str:
-    def rec(t: Term, prec: int) -> str:
-        return _render(t, prec, scope, env, fold_index, memo, notations)
+    """``memo`` shares unfoldings within one folded display; None prints plainly."""
 
-    if notations:
+    def rec(t: Term, prec: int) -> str:
+        return _render(t, prec, scope, env, memo)
+
+    if memo is not None:
         comp = match_composition(t)
         if comp is not None:
             g, f = comp
             s = f"{rec(g, _APP)}∘{rec(f, _APP)}"
             return f"({s})" if prec > _COMP else s
 
-    if fold_index and t.fa == 0 and env is not None and not isinstance(t, (Const, SortT, Var)):
-        name = fold_index.get(_unfolded(t, env, memo))
-        if name is not None:
-            return name
+        if env is not None and t.fa == 0 and not isinstance(t, (Const, SortT, Var)):
+            try:
+                name = env.fold_name(unfold_all(env, t, memo))
+            except TypeCheckError:  # a name outside env: no definition unfolds to it
+                name = None
+            if name is not None:
+                return name
 
     match t:
         case SortT(s):

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import DuplicateNameError, IllFormedPatternError, TypeCheckError, UNKNOWN_CONSTANT
 from .specs import PtsSpec
-from .terms import HOLE, App, Const, Term, shift, spine, subst
+from .terms import HOLE, App, Const, Lam, Let, Pi, SortT, Term, Var, shift, subst
 
 
 @dataclass(frozen=True)
@@ -74,113 +74,122 @@ class Rewrite:
 EnvEntry = Union[Decl, Def, Rewrite]
 
 
-class GlobalEnv:
-    """Ordered, persistent sequence of entries over a fixed PTS signature.
+class _Table:
+    """The entries shared by an environment and its extensions, and what is
+    derived from them.  Only ever appended to, so a view of its first ``n``
+    entries never changes."""
 
-    Extension returns a new environment; instances are never mutated after
-    construction, so caches on them are safe to share between readers.
+    __slots__ = ("entries", "order", "rules", "unfolded", "indexed", "folds")
+
+    def __init__(self, entries: Iterable[EnvEntry] = ()) -> None:
+        self.entries: list[EnvEntry] = []
+        self.order: dict[str, int] = {}
+        self.rules: dict[str, list[Rewrite]] = {}
+        self.unfolded: dict[str, Term] = {}  # name -> full unfolding
+        self.indexed = 0  # entries scanned into ``folds``
+        self.folds: dict[Term, list[int]] = {}  # unfolding -> definitions, oldest first
+        for e in entries:
+            self.append(e)
+
+    def append(self, entry: EnvEntry) -> None:
+        self.order[entry.name] = len(self.entries)
+        self.entries.append(entry)
+        if isinstance(entry, Rewrite):
+            self.rules.setdefault(entry.lhs.head, []).append(entry)
+
+
+class GlobalEnv:
+    """Ordered sequence of entries over a fixed PTS signature.
+
+    An environment is a view of the first ``size`` entries of a table it
+    shares with its extensions; extending the newest view appends to the
+    table, extending an older one copies its entries into a new table.  An
+    environment never changes what it sees, so the unfoldings and fold names
+    cached on the table are safe to share between readers.
     """
 
-    __slots__ = (
-        "spec",
-        "entries",
-        "_by_name",
-        "_order",
-        "_rules",
-        "_unfold_cache",
-        "_fold_index",
-    )
+    __slots__ = ("spec", "_table", "_size")
 
-    def __init__(self, spec: PtsSpec, entries: tuple[EnvEntry, ...] = ()) -> None:
+    def __init__(self, spec: PtsSpec, entries: Iterable[EnvEntry] = ()) -> None:
         self.spec = spec
-        self.entries = entries
-        self._by_name: dict[str, EnvEntry] = {e.name: e for e in entries}
-        self._order: dict[str, int] = {e.name: i for i, e in enumerate(entries)}
-        rules: dict[str, list[Rewrite]] = {}
-        for e in entries:
-            if isinstance(e, Rewrite):
-                rules.setdefault(e.lhs.head, []).append(e)
-        self._rules = rules
-        self._unfold_cache: dict[str, Term] = {}
-        self._fold_index: Optional[dict[Term, str]] = None
+        self._table = _Table(entries)
+        self._size = len(self._table.entries)
+
+    @staticmethod
+    def _view(spec: PtsSpec, table: _Table, size: int) -> "GlobalEnv":
+        env = GlobalEnv.__new__(GlobalEnv)
+        env.spec, env._table, env._size = spec, table, size
+        return env
+
+    @property
+    def entries(self) -> tuple[EnvEntry, ...]:
+        return tuple(self._table.entries[: self._size])
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return self._table.order.get(name, self._size) < self._size
 
     def lookup(self, name: str) -> EnvEntry:
-        entry = self._by_name.get(name)
-        if entry is None:
+        i = self._table.order.get(name, self._size)
+        if i >= self._size:
             raise TypeCheckError(UNKNOWN_CONSTANT, f"unknown constant {name}")
-        return entry
+        return self._table.entries[i]
 
     def def_body(self, name: str) -> Optional[Term]:
-        entry = self._by_name.get(name)
+        i = self._table.order.get(name, self._size)
+        entry = self._table.entries[i] if i < self._size else None
         return entry.body if isinstance(entry, Def) else None
 
     def age(self, name: str) -> int:
-        """Position in the environment; later entries are younger."""
-        return self._order.get(name, -1)
+        """Position in the environment, -1 if absent; later entries are younger."""
+        i = self._table.order.get(name, -1)
+        return i if i < self._size else -1
 
     def rules_for(self, head: str) -> list[Rewrite]:
-        return self._rules.get(head, [])
+        rules = self._table.rules.get(head, [])
+        if self._size == len(self._table.entries):
+            return rules
+        return [r for r in rules if self.age(r.name) >= 0]
+
+    def fold_name(self, unfolded: Term) -> Optional[str]:
+        """The youngest definition whose full unfolding is ``unfolded``."""
+        table = self._table
+        while table.indexed < self._size:
+            entry = table.entries[table.indexed]
+            if isinstance(entry, Def):
+                key = unfold_all(self, Const(entry.name))
+                table.folds.setdefault(key, []).append(table.indexed)
+            table.indexed += 1
+        for i in reversed(table.folds.get(unfolded, ())):
+            if i < self._size:
+                return table.entries[i].name
+        return None
 
     def extended(self, entry: EnvEntry) -> "GlobalEnv":
         """Extension without well-formedness checking; prefer ``add_entry``."""
-        if entry.name in self._by_name:
+        if entry.name in self:
             raise DuplicateNameError(entry.name)
-        return GlobalEnv(self.spec, self.entries + (entry,))
+        table = self._table
+        if self._size < len(table.entries):
+            table = _Table(self.entries)
+        table.append(entry)
+        return GlobalEnv._view(self.spec, table, self._size + 1)
 
     def with_spec(self, spec: PtsSpec) -> "GlobalEnv":
-        return GlobalEnv(spec, self.entries)
+        return GlobalEnv._view(spec, self._table, self._size)
 
 
 def add_entry(env: GlobalEnv, entry: EnvEntry) -> GlobalEnv:
     """Check ``entry`` against ``env`` and return the extended environment."""
     if entry.name in env:
         raise DuplicateNameError(entry.name)
-    from .typecheck import check_entry  # env data layer stays import-light
+    from .typecheck import check_entry  # typecheck imports this module
 
     check_entry(env, entry)
     return env.extended(entry)
 
 
-def match_pattern(pattern: Pattern, t: Term) -> Optional[list[Term]]:
-    """Purely structural match of a weak-head term against a pattern.
-
-    Returns the metavariable assignment in index order, or None.  No
-    unfolding happens here; the conversion machinery exposes heads before
-    calling into pattern matching.
-    """
-    n = len(pattern.metavars())
-    out: list[Optional[Term]] = [None] * n
-
-    def go(p: Union[MetaArg, Pattern], t: Term) -> bool:
-        if isinstance(p, MetaArg):
-            out[p.index] = t
-            return True
-        head, args = spine(t)
-        if not isinstance(head, Const) or head.name != p.head:
-            return False
-        if len(args) != len(p.args):
-            return False
-        return all(go(pa, ta) for pa, ta in zip(p.args, args))
-
-    head, args = spine(t)
-    if not isinstance(head, Const) or head.name != pattern.head:
-        return None
-    if len(args) < len(pattern.args):
-        return None
-    # A rule may match a prefix of the spine; trailing arguments survive.
-    for pa, ta in zip(pattern.args, args):
-        if not go(pa, ta):
-            return None
-    return [v for v in out]  # type: ignore[return-value]
-
-
 def pattern_term(pattern: Pattern) -> Term:
     """The pattern as a term, metavariable ``i`` rendered as ``Var(i)``."""
-    from .terms import Var
-
     t: Term = Const(pattern.head)
     for a in pattern.args:
         arg = Var(a.index, a.hint) if isinstance(a, MetaArg) else pattern_term(a)
@@ -190,8 +199,6 @@ def pattern_term(pattern: Pattern) -> Term:
 
 def instantiate(rhs: Term, sigma: list[Term], depth: int = 0) -> Term:
     """Plug a metavariable assignment into a rule right-hand side."""
-    from .terms import Lam, Let, Pi, Var
-
     if rhs.fa <= depth:
         return rhs
     match rhs:
@@ -216,38 +223,43 @@ def instantiate(rhs: Term, sigma: list[Term], depth: int = 0) -> Term:
             return rhs
 
 
-def unfold_all(env: GlobalEnv, t: Term) -> Term:
+def unfold_all(env: GlobalEnv, t: Term, memo: Optional[dict[Term, Term]] = None) -> Term:
     """Expand every transparent definition and every let; idempotent.
 
     The result mentions only declared (opaque) constants.  Raises
-    ``UnknownConstant`` for names missing from the environment.
+    ``UnknownConstant`` for names missing from the environment.  Unfoldings
+    of names are cached on the environment's table; ``memo`` additionally
+    shares the unfoldings of subterms between calls.
     """
-    from .terms import Lam, Let, Pi, SortT, Var
-
-    cache = env._unfold_cache
+    cache = env._table.unfolded
 
     def go(t: Term) -> Term:
+        if memo is not None:
+            hit = memo.get(t)
+            if hit is not None:
+                return hit
         match t:
             case SortT(_) | Var(_, _):
                 return t
             case Const(name):
                 if name == HOLE.name:
                     return t
-                hit = cache.get(name)
-                if hit is not None:
-                    return hit
                 entry = env.lookup(name)
-                out = go(entry.body) if isinstance(entry, Def) else t
-                cache[name] = out
-                return out
+                out = cache.get(name)
+                if out is None:
+                    out = cache[name] = go(entry.body) if isinstance(entry, Def) else t
             case App(f, a):
-                return App(go(f), go(a))
+                out = App(go(f), go(a))
             case Lam(h, dom, body):
-                return Lam(h, go(dom), go(body))
+                out = Lam(h, go(dom), go(body))
             case Pi(h, dom, cod):
-                return Pi(h, go(dom), go(cod))
+                out = Pi(h, go(dom), go(cod))
             case Let(_, _, d, b):
-                return go(subst(b, d))
-        return t
+                out = go(subst(b, d))
+            case _:
+                return t
+        if memo is not None:
+            memo[t] = out
+        return out
 
     return go(t)

@@ -61,7 +61,3 @@ class TypeCheckError(KernelError):
         self.detail = detail
         self.path = path
         self.rule_pair = rule_pair
-
-    def at(self, step: str) -> "TypeCheckError":
-        """Re-raise helper: prepend one path component."""
-        return TypeCheckError(self.kind, self.detail, (step,) + self.path, self.rule_pair)

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .env import GlobalEnv, MetaArg, Pattern
+from .env import GlobalEnv, MetaArg, Pattern, Rewrite
 from .errors import ParseError, TypeCheckError
-from .terms import App, Lam, Let, Pi, SORT_BY_TOKEN, SortT, Term, Var, shift
-from .typecheck import Ctx, infer, push, whnf
+from .terms import App, Const, Lam, Let, Pi, SORT_BY_TOKEN, SortT, Term, Var, shift
+from .typecheck import Ctx, _type_pattern, infer, push, whnf
 
 KEYWORDS = frozenset(
     "fun forall Pi let in const def rewrite check conv trace system axiom rule".split()
@@ -438,9 +438,6 @@ def elaborate(
 
 
 def _const_ref(env: GlobalEnv, name: str, line: int, col: int) -> Term:
-    from .env import Rewrite
-    from .terms import Const
-
     if isinstance(env.lookup(name), Rewrite):
         raise ParseError(f"{name} names a rewrite rule, not a term", line, col)
     return Const(name)
@@ -475,9 +472,6 @@ def _expand_composition(
 def build_rewrite(env: GlobalEnv, name: str, lhs: Surface, rhs: Surface):
     """Assemble a rewrite rule: pattern from ``lhs``, right side elaborated
     under the metavariable telescope the pattern induces."""
-    from .env import Rewrite
-    from .typecheck import _type_pattern
-
     pattern = surface_to_pattern(lhs)
     metas = pattern.metavars()
     types: list[Optional[Term]] = [None] * len(metas)

@@ -56,7 +56,7 @@ from .terms import (
     spine,
     subst,
 )
-from .typecheck import Ctx, Fuel, _try_rules, infer, push, whnf
+from .typecheck import Ctx, Fuel, _try_rules, _type_pattern, infer, push, whnf
 
 HEAD_DEF = "head-def"
 HEAD_LINEAR = "head-linear"
@@ -343,7 +343,7 @@ def trace(
 ) -> Trace:
     """Step ``t``, recording one row per event; stops on head-normal forms,
     detected state repetition, or ``max_steps``."""
-    disp = (lambda x: fold_display(x, env)) if fold else (lambda x: plain_display(x, env))
+    disp = (lambda x: fold_display(x, env)) if fold else plain_display
     out = Trace(start=t, show=disp)
     for index, ((kind, detail, cur), _, loop) in enumerate(_walk(env, t, strategy, max_steps), 1):
         out.steps.append(TraceStep(index, kind, detail, cur, disp))
@@ -451,8 +451,6 @@ def erase_env(env: GlobalEnv, mode: str) -> GlobalEnv:
     The result is for reduction only: entry types are kept verbatim and are
     not meaningful in the erased world.
     """
-    from .typecheck import _type_pattern
-
     entries = []
     for e in env.entries:
         if isinstance(e, Def):

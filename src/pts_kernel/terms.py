@@ -10,7 +10,7 @@ very large reduction states.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Optional
 
 
 class Sort:
@@ -144,7 +144,6 @@ class Let(Term):
 
 STAR_T = SortT(STAR)
 BOX_T = SortT(BOX)
-TRIANGLE_T = SortT(TRIANGLE)
 
 # Opaque leaf standing in for erased annotations and type-level subterms.
 # The name is not a legal identifier, so source files cannot capture it.
@@ -297,43 +296,6 @@ def arrow(dom: Term, cod: Term) -> Pi:
     return Pi("_", dom, shift(cod, 1))
 
 
-def strip_hints(t: Term) -> Term:
-    """Canonical alpha-normal form: every hint replaced by the empty string."""
-    match t:
-        case Var(k, hint):
-            return t if hint == "" else Var(k, "")
-        case App(f, a):
-            return App(strip_hints(f), strip_hints(a))
-        case Lam(_, dom, body):
-            return Lam("", strip_hints(dom), strip_hints(body))
-        case Pi(_, dom, cod):
-            return Pi("", strip_hints(dom), strip_hints(cod))
-        case Let(_, ann, d, b):
-            return Let("", strip_hints(ann), strip_hints(d), strip_hints(b))
-        case _:
-            return t
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        yield x
-        match x:
-            case App(f, a):
-                stack.extend((f, a))
-            case Lam(_, dom, body):
-                stack.extend((dom, body))
-            case Pi(_, dom, cod):
-                stack.extend((dom, cod))
-            case Let(_, ann, d, b):
-                stack.extend((ann, d, b))
-
-
-def term_size(t: Term) -> int:
-    return sum(1 for _ in subterms(t))
-
-
 def _debug_repr(t: Term) -> str:
     match t:
         case SortT(s):
@@ -352,6 +314,3 @@ def _debug_repr(t: Term) -> str:
         case Let(h, ann, d, b):
             return f"(let {h or '_'}:{_debug_repr(ann)}={_debug_repr(d)} in {_debug_repr(b)})"
     return object.__repr__(t)
-
-
-TermLike = Union[SortT, Var, Const, App, Lam, Pi, Let]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .display import fold_display
 from .env import Decl, Def, GlobalEnv, MetaArg, Pattern, Rewrite, instantiate, pattern_term
 from .errors import (
     DOMAIN_MISMATCH,
@@ -317,8 +318,6 @@ def _no_rule(s1: Sort, s2: Sort) -> TypeCheckError:
 
 
 def _describe_app(env: GlobalEnv, f: Term, fty: Term) -> str:
-    from .display import fold_display
-
     return f"{fold_display(f, env)} has type {fold_display(fty, env)}, not a product"
 
 
@@ -326,8 +325,6 @@ def check(env: GlobalEnv, t: Term, expected: Term, ctx: Ctx = ()) -> None:
     """Check ``t`` against ``expected``; DomainMismatch carries both displays."""
     actual = infer(env, t, ctx)
     if not convert(env, actual, expected, ctx):
-        from .display import fold_display
-
         raise TypeCheckError(
             DOMAIN_MISMATCH,
             f"expected {fold_display(expected, env)}, found {fold_display(actual, env)}"
@@ -345,8 +342,6 @@ def check_definition(env: GlobalEnv, ty: Term, body: Term) -> None:
             break
         _sort_of(env, body.dom, ctx, "definition parameter")
         if not convert(env, body.dom, tyw.dom, ctx):
-            from .display import fold_display
-
             raise TypeCheckError(
                 DOMAIN_MISMATCH,
                 f"parameter {body.hint} : {fold_display(body.dom, env)} does not match"
@@ -379,8 +374,6 @@ def _check_rewrite(env: GlobalEnv, rule: Rewrite) -> None:
     ctx: Ctx = tuple((m.hint, types[m.index], None) for m in sorted(metas, key=lambda m: m.index))  # type: ignore[misc]
     rhs_ty = infer(env, rule.rhs, ctx)
     if not convert(env, rhs_ty, lhs_ty, ctx):
-        from .display import fold_display
-
         raise TypeCheckError(
             DOMAIN_MISMATCH,
             f"rewrite {rule.name}: sides have types {fold_display(lhs_ty, env)}"

@@ -31,6 +31,33 @@ def test_check_corpus_bytes_match_golden(capsys):
     assert "".join(got) == (GOLDEN / "check-corpus.sha256").read_text(encoding="utf-8")
 
 
+def test_check_lines_fold_only_names_defined_before_them(tmp_path, capsys):
+    # Each line folds against its own directive's environment, although the
+    # later definitions share one entry table with it and the failing last
+    # check folds its message against all of them before any line is read.
+    src = tmp_path / "later.pts"
+    src.write_text(
+        "system lambda-hol.\nconst A : *.\nconst B : *.\nconst f : A -> A.\nconst a : A.\n"
+        "check f (f a) : A.\ndef b : A := f a.\ncheck f (f a) : A.\n"
+        "def c : A := f b.\ncheck f (f a) : A.\ncheck f (f a) : B.\n",
+        encoding="utf-8",
+    )
+    assert main(["check", str(src)]) == 1
+    assert capsys.readouterr().out == (
+        "ok    system lambda-hol\n"
+        "ok    const A : *\n"
+        "ok    const B : *\n"
+        "ok    const f : A -> A\n"
+        "ok    const a : A\n"
+        "ok    check f (f a) : A\n"
+        "ok    def b : A\n"
+        "ok    check f b : A\n"
+        "ok    def c : A\n"
+        "ok    check c : A\n"
+        "FAIL  check : DomainMismatch: expected B, found A for c\n"
+    )
+
+
 def test_file_target_load_renders_nothing(tmp_path, monkeypatch, capsys):
     calls = []
 

@@ -5,7 +5,7 @@ import pytest
 from pts_kernel.corpus import BUNDLE_IDS, get_bundle, render_bundle
 from pts_kernel.env import Decl, Def, Rewrite, add_entry, unfold_all
 from pts_kernel.parser import elaborate, parse_term_surface
-from pts_kernel.reduce import trace
+from pts_kernel.reduce import REWRITE_FIRE, head_def_step, trace
 from pts_kernel.terms import alpha_eq
 from pts_kernel.typecheck import check, convert, infer
 
@@ -68,11 +68,8 @@ def test_rewrite_rules_preserve_types(simple, refined):
         env = bundle.env
         rule = env.rules_for("match")[0]
         redex = _term("match (intro X₀)", env)
-        from pts_kernel.env import instantiate, match_pattern
-
-        sigma = match_pattern(rule.lhs, redex)
-        assert sigma is not None
-        contractum = instantiate(rule.rhs, sigma)
+        kind, fired, contractum = head_def_step(env, redex)
+        assert (kind, fired) == (REWRITE_FIRE, rule.name)
         assert convert(env, infer(env, redex), infer(env, contractum)), bundle.id
 
 

@@ -2,7 +2,7 @@ from pts_kernel.display import fold_display, match_composition, plain_display, r
 from pts_kernel.env import GlobalEnv, unfold_all
 from pts_kernel.parser import elaborate, parse_term_surface
 from pts_kernel.specs import LAMBDA_HOL
-from pts_kernel.terms import Const, alpha_eq
+from pts_kernel.terms import App, Const, alpha_eq
 
 
 def _term(src, env):
@@ -22,9 +22,12 @@ def test_fold_composition_notation(refined):
     assert fold_display(t, env) == "p₀∘δ"
 
 
-def test_fold_plain_constant():
+def test_fold_plain_constant(simple):
     env = GlobalEnv(LAMBDA_HOL)
     assert fold_display(Const("c"), env) == "c"
+    # A name the environment lacks stays as it is; folding goes on below it.
+    t = App(Const("c"), unfold_all(simple.env, Const("x₀")))
+    assert fold_display(t, simple.env) == "c x₀"
 
 
 def test_notation_folds_before_constant_folding(refined):
@@ -48,7 +51,7 @@ def test_composition_matcher_rejects_captured_sides(refined):
 def test_printer_grammar_shapes(refined):
     env = refined.env
     assert fold_display(_term("forall (p : *), p", env), env) == "⊥"
-    assert plain_display(_term("forall (p : *), p", env), env) == "forall (p : *), p"
+    assert plain_display(_term("forall (p : *), p", env)) == "forall (p : *), p"
     assert fold_display(_term("# -> #", env), env) == "# -> #"
     assert fold_display(_term("Pi (X : #) -> (T X -> X) -> X", env), env) == (
         "Pi (X : #) -> (T X -> X) -> X"

@@ -7,7 +7,6 @@ from pts_kernel.env import (
     MetaArg,
     Pattern,
     add_entry,
-    match_pattern,
     unfold_all,
 )
 from pts_kernel.errors import (
@@ -16,8 +15,10 @@ from pts_kernel.errors import (
     TypeCheckError,
 )
 from pts_kernel.parser import build_rewrite, elaborate, parse_term_surface
-from pts_kernel.specs import LAMBDA_HOL
+from pts_kernel.reduce import REWRITE_FIRE, head_def_step
+from pts_kernel.specs import LAMBDA_HOL, LAMBDA_U_MINUS
 from pts_kernel.terms import BOX_T, Const, Let, Var, alpha_eq
+from pts_kernel.typecheck import whnf
 
 
 def _term(src, env, **kw):
@@ -76,23 +77,18 @@ def test_lookup_unknown_constant():
     assert err.value.kind == "UnknownConstant"
 
 
-def test_match_pattern_binds_metavariable(simple):
-    pattern = simple.env.rules_for("match")[0].lhs
-    t = _term("match (intro X₀)", simple.env)
-    sigma = match_pattern(pattern, t)
-    assert sigma is not None
-    assert sigma[0] == Const("X₀")
+def test_rule_fire_binds_metavariable(simple):
+    env = simple.env
+    t = _term("match (intro X₀)", env)
+    assert head_def_step(env, t) == (REWRITE_FIRE, "retract", Const("X₀"))
+    assert whnf(env, t) == env.def_body("X₀")
 
 
-def test_match_pattern_is_purely_structural(simple):
-    pattern = simple.env.rules_for("match")[0].lhs
-    folded = _term("match x₀", simple.env)  # x₀ unfolds to intro X₀, but not here
-    assert match_pattern(pattern, folded) is None
-
-
-def test_match_pattern_requires_head_constant(simple):
-    pattern = simple.env.rules_for("match")[0].lhs
-    assert match_pattern(pattern, _term("intro X₀", simple.env)) is None
+def test_rule_fire_requires_head_constant(simple):
+    env = simple.env
+    t = _term("intro X₀", env)  # the rule's head is match
+    assert head_def_step(env, t) is None
+    assert whnf(env, t) == t
 
 
 def test_left_linearity_enforced():
@@ -116,6 +112,43 @@ def test_extension_is_monotone(simple):
 
     extended = add_entry(simple.env, Decl("extra", BOX_T))
     check(extended, simple.key_terms["bottomProof"], simple.expected_types["bottomProof"])
+
+
+def test_forked_extension_is_independent_of_its_sibling(simple):
+    # A private copy of simple.env, so that the first extension appends to
+    # its table and the second, from the same environment, forks it.
+    env = GlobalEnv(simple.env.spec, simple.env.entries)
+    p0 = unfold_all(env, Const("p₀"))
+    rule = build_rewrite(
+        env, "retract2", parse_term_surface("match (intro $u)"), parse_term_surface("$u")
+    )
+    sibling = add_entry(add_entry(env, Def("q", _term("Pow A", env), Const("p₀"))), rule)
+    assert sibling.fold_name(p0) == "q"  # the younger definition wins
+    sibling_q = unfold_all(sibling, Const("q"))  # cached on the sibling's table
+
+    fork = add_entry(env, Decl("q", BOX_T))  # the sibling's name, reused
+    assert isinstance(fork.lookup("q"), Decl)
+    assert "retract2" not in fork
+    assert [r.name for r in fork.rules_for("match")] == ["retract"]
+    assert fork.fold_name(p0) == "p₀"
+    assert unfold_all(fork, Const("q")) == Const("q")
+
+    assert [r.name for r in env.rules_for("match")] == ["retract"]
+    assert env.fold_name(p0) == "p₀"
+    for read in (env.lookup, lambda name: unfold_all(env, Const(name))):
+        with pytest.raises(TypeCheckError) as err:
+            read("q")
+        assert err.value.kind == "UnknownConstant"
+    assert unfold_all(sibling, Const("q")) is sibling_q
+
+
+def test_with_spec_keeps_entries_and_table(simple):
+    env = GlobalEnv(simple.env.spec, simple.env.entries)
+    other = env.with_spec(LAMBDA_U_MINUS)
+    assert other.spec is LAMBDA_U_MINUS
+    assert other.entries == env.entries
+    # One table: an unfolding cached through one view is the other's too.
+    assert unfold_all(other, Const("l₂")) is unfold_all(env, Const("l₂"))
 
 
 def test_unfold_all_idempotent_on_key_terms(all_bundles):
