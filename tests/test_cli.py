@@ -267,3 +267,34 @@ def test_parse_error_reports_position():
     report = run_program("const : #.")
     assert not report.ok
     assert "parse error" in report.render()
+
+
+LONG_TRACE_FLAGS = ([], ["--erase", "annotations"], ["--erase", "poly"], ["--format", "structured"])
+
+
+def test_long_traces_match_golden_digests(capsys):
+    # sha256 of `pts trace` stdout, deep enough that consecutive rows share
+    # most of their subterms: 400 head-def steps and 200 head-linear ones.
+    got = []
+    for bundle in BUNDLE_IDS:
+        for strategy, steps in (("head-def", "400"), ("head-linear", "200")):
+            for flags in LONG_TRACE_FLAGS:
+                argv = ["trace", bundle, "bottomProof", "--strategy", strategy, "--steps", steps]
+                assert main(argv + flags) == 0
+                digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+                got.append(f"{digest}  {' '.join(argv[1:] + flags)}\n")
+    assert "".join(got) == (GOLDEN / "trace-long.sha256").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("flags, suffix", [([], "txt"), (["--raw"], "raw.txt")])
+def test_trace_directive_report_matches_golden_bytes(tmp_path, capsys, flags, suffix):
+    # A 60-step `trace` directive on the refined development; its rows stay
+    # folded in a --raw report too.
+    f = tmp_path / "refined-trace.pts"
+    f.write_text(
+        (CORPUS / "refined-axiomatic.pts").read_text(encoding="utf-8") + "trace (l₀ p₀ l₂ l₁) 60.\n",
+        encoding="utf-8",
+    )
+    assert main(["check", str(f)] + flags) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"check-trace-directive.{suffix}").read_text(encoding="utf-8")
