@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .corpus import BUNDLE_IDS, get_bundle
 from .display import fold_display, plain_display, raw_display
@@ -28,19 +28,18 @@ from .typecheck import check, convert
 @dataclass
 class ReportLine:
     """One judgment of a report.  ``parts`` are strings and terms; the terms
-    are rendered against ``env``, the environment of the line's directive,
-    when the text is first read."""
+    are rendered by ``show`` against ``env``, the environment of the line's
+    directive, when the text is first read."""
 
     ok: bool
     parts: tuple
     env: Optional[GlobalEnv] = None
-    raw: bool = False
+    show: Optional[Callable[[Term, GlobalEnv], str]] = None
 
     @property
     def text(self) -> str:
         if self.env is not None:
-            show = raw_display if self.raw else fold_display
-            self.parts = tuple(p if isinstance(p, str) else show(p, self.env) for p in self.parts)
+            self.parts = tuple(p if isinstance(p, str) else self.show(p, self.env) for p in self.parts)
             self.env = None
         return "".join(self.parts)
 
@@ -83,8 +82,8 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
     env = GlobalEnv(spec if spec is not None else PRESETS["lambda-hol"])
     started = False
 
-    def say(ok: bool, *parts: object, raw: bool = raw) -> None:
-        report.lines.append(ReportLine(ok, parts, env, raw))
+    def say(ok: bool, *parts: object, show: Optional[Callable] = None) -> None:
+        report.lines.append(ReportLine(ok, parts, env, show or (raw_display if raw else fold_display)))
 
     for d in directives:
         try:
@@ -141,8 +140,9 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
                 t = elaborate(d.parts[0], env)
                 tr = trace(env, t, HEAD_DEF, d.parts[1])
                 say(True, "trace ", t, f" [{tr.stopped}]")
+                rows = lambda row, _env, show=tr.show: show(row)  # folded even in a raw report
                 for row in [tr.start] + [s.raw for s in tr.steps]:
-                    say(True, "  ", row, raw=False)  # rows are folded even in a raw report
+                    say(True, "  ", row, show=rows)
         except KernelError as err:
             report.error = err
             report.failed_entry = d.name or d.kind
@@ -213,10 +213,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
             print(row)
     else:
         print(json.dumps({"index": 0, "event": "start", "display": tr.start_display,
-                          "raw": plain_display(tr.start)}, ensure_ascii=False))
+                          "raw": tr.plain(tr.start)}, ensure_ascii=False))
         for s in tr.steps:
             print(json.dumps({"index": s.index, "event": s.kind, "detail": s.detail,
-                              "display": s.display, "raw": plain_display(s.raw)},
+                              "display": s.display, "raw": tr.plain(s.raw)},
                              ensure_ascii=False))
     return 0
 

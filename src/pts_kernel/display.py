@@ -9,11 +9,18 @@ which print as ``Pi (X : #) -> t``; non-dependent products print as arrows.
 Folding is maximal: a subterm alpha-equal to the unfolding of a defined
 constant prints as that constant, later definitions winning, and notations
 (the built-in composition ``g∘f``) fold before constant folding.
+
+``fold_display`` and ``plain_display`` print one term from scratch.  A trace
+prints its rows through a ``printer`` that lives as long as the trace and
+shares work between them: one unfolding memo, and a cache of the strings of
+closed non-leaf subterms keyed by node identity, precedence and the binder
+names in scope.  Consecutive rows share most of their nodes, so each row
+costs about what changed since the one before.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .env import GlobalEnv, unfold_all
 from .errors import TypeCheckError
@@ -66,32 +73,35 @@ def raw_display(t: Term, env: GlobalEnv) -> str:
     return plain_display(unfold_all(env, t))
 
 
+def printer(env: Optional[GlobalEnv] = None) -> Callable[[Term], str]:
+    """Print like ``fold_display(t, env)``, or like ``plain_display(t)`` when
+    ``env`` is None, sharing one unfolding memo and one string cache (see
+    ``_render``) across all the terms it prints, such as one trace's rows."""
+    memo: Optional[dict[Term, Term]] = {} if env is not None else None
+    cache: dict[tuple, tuple[Term, str]] = {}
+    return lambda t: _render(t, _BINDER, [], env, memo, cache)
+
+
 def _render(
     t: Term,
     prec: int,
     scope: list[str],
     env: Optional[GlobalEnv],
     memo: Optional[dict[Term, Term]],
+    cache: Optional[dict[tuple, tuple[Term, str]]] = None,
 ) -> str:
-    """``memo`` shares unfoldings within one folded display; None prints plainly."""
+    """``memo`` shares unfoldings between folded displays; None prints plainly.
+
+    ``cache`` maps ``(id(node), prec, tuple(scope))`` of a closed non-leaf
+    node to the node and its string.  The key is the node's identity, not
+    ``Term`` equality, because equality ignores binder hints while printed
+    names come from them; holding the node keeps its id from being reused.
+    The key includes the scope because ``_fresh`` primes the node's binder
+    names against the enclosing ones.
+    """
 
     def rec(t: Term, prec: int) -> str:
-        return _render(t, prec, scope, env, memo)
-
-    if memo is not None:
-        comp = match_composition(t)
-        if comp is not None:
-            g, f = comp
-            s = f"{rec(g, _APP)}∘{rec(f, _APP)}"
-            return f"({s})" if prec > _COMP else s
-
-        if env is not None and t.fa == 0 and not isinstance(t, (Const, SortT, Var)):
-            try:
-                name = env.fold_name(unfold_all(env, t, memo))
-            except TypeCheckError:  # a name outside env: no definition unfolds to it
-                name = None
-            if name is not None:
-                return name
+        return _render(t, prec, scope, env, memo, cache)
 
     match t:
         case SortT(s):
@@ -102,44 +112,66 @@ def _render(
             if i < len(scope):
                 return scope[i]
             return hint or f"?{i}"
-        case App(_, _):
-            head, args = spine(t)
-            parts = [rec(head, _ATOM)] + [rec(a, _ATOM) for a in args]
-            s = " ".join(parts)
-            return f"({s})" if prec > _APP else s
-        case Lam(hint, dom, body):
-            name = _fresh(hint, scope)
-            dom_s = rec(dom, _BINDER)
-            scope.insert(0, name)
-            body_s = rec(body, _BINDER)
-            scope.pop(0)
-            s = f"fun ({name} : {dom_s}) => {body_s}"
-            return f"({s})" if prec > _BINDER else s
-        case Pi(hint, dom, cod):
-            plain_cod = try_unshift(cod)
-            if plain_cod is not None:
-                s = f"{rec(dom, _COMP)} -> {rec(plain_cod, _ARROW)}"
-                return f"({s})" if prec > _ARROW else s
-            name = _fresh(hint, scope)
-            dom_s = rec(dom, _BINDER)
-            scope.insert(0, name)
-            cod_s = rec(cod, _BINDER)
-            scope.pop(0)
-            if isinstance(dom, SortT) and dom.sort in (BOX, TRIANGLE):
-                s = f"Pi ({name} : {dom_s}) -> {cod_s}"
-            else:
-                s = f"forall ({name} : {dom_s}), {cod_s}"
-            return f"({s})" if prec > _BINDER else s
-        case Let(hint, ann, defn, body):
-            name = _fresh(hint, scope)
-            ann_s = rec(ann, _BINDER)
-            defn_s = rec(defn, _BINDER)
-            scope.insert(0, name)
-            body_s = rec(body, _BINDER)
-            scope.pop(0)
-            s = f"let {name} : {ann_s} := {defn_s} in {body_s}"
-            return f"({s})" if prec > _BINDER else s
-    return repr(t)  # pragma: no cover
+
+    key = None
+    if cache is not None and t.fa == 0:
+        key = (id(t), prec, tuple(scope))
+        hit = cache.get(key)
+        if hit is not None:
+            return hit[1]
+
+    s, level = None, _ATOM
+    if memo is not None:
+        comp = match_composition(t)
+        if comp is not None:
+            g, f = comp
+            s, level = f"{rec(g, _APP)}∘{rec(f, _APP)}", _COMP
+        elif env is not None and t.fa == 0:
+            try:
+                s = env.fold_name(unfold_all(env, t, memo))
+            except TypeCheckError:  # a name outside env: no definition unfolds to it
+                pass
+
+    if s is None:
+        match t:
+            case App(_, _):
+                head, args = spine(t)
+                s, level = " ".join([rec(head, _ATOM)] + [rec(a, _ATOM) for a in args]), _APP
+            case Lam(hint, dom, body):
+                name = _fresh(hint, scope)
+                dom_s = rec(dom, _BINDER)
+                scope.insert(0, name)
+                body_s = rec(body, _BINDER)
+                scope.pop(0)
+                s, level = f"fun ({name} : {dom_s}) => {body_s}", _BINDER
+            case Pi(hint, dom, cod):
+                plain_cod = try_unshift(cod)
+                if plain_cod is not None:
+                    s, level = f"{rec(dom, _COMP)} -> {rec(plain_cod, _ARROW)}", _ARROW
+                else:
+                    name = _fresh(hint, scope)
+                    dom_s = rec(dom, _BINDER)
+                    scope.insert(0, name)
+                    cod_s = rec(cod, _BINDER)
+                    scope.pop(0)
+                    if isinstance(dom, SortT) and dom.sort in (BOX, TRIANGLE):
+                        s = f"Pi ({name} : {dom_s}) -> {cod_s}"
+                    else:
+                        s = f"forall ({name} : {dom_s}), {cod_s}"
+                    level = _BINDER
+            case Let(hint, ann, defn, body):
+                name = _fresh(hint, scope)
+                ann_s = rec(ann, _BINDER)
+                defn_s = rec(defn, _BINDER)
+                scope.insert(0, name)
+                body_s = rec(body, _BINDER)
+                scope.pop(0)
+                s, level = f"let {name} : {ann_s} := {defn_s} in {body_s}", _BINDER
+
+    out = f"({s})" if prec > level else s
+    if key is not None:
+        cache[key] = (t, out)
+    return out
 
 
 def _fresh(hint: str, scope: list[str]) -> str:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .display import fold_display, plain_display
+from .display import printer
 from .env import Def, GlobalEnv, Rewrite
 from .errors import ErasureNeedsTypesError, KernelError
 from .terms import (
@@ -87,10 +87,14 @@ class TraceStep:
 
 @dataclass
 class Trace:
-    """A reduction trace; rows are rendered each time they are read."""
+    """A reduction trace.  Rows are rendered when read, by ``show`` (folded
+    or plain, as asked) or ``plain``: ``display.printer``s that live as long
+    as the trace and cache the strings of the closed subterms they printed,
+    keyed by node identity, precedence and the binder names in scope."""
 
     start: Term
     show: Callable[[Term], str] = field(repr=False, compare=False)
+    plain: Callable[[Term], str] = field(repr=False, compare=False)
     steps: list[TraceStep] = field(default_factory=list)
     stopped: str = "max-steps"  # head-normal | max-steps | loop
 
@@ -343,10 +347,10 @@ def trace(
 ) -> Trace:
     """Step ``t``, recording one row per event; stops on head-normal forms,
     detected state repetition, or ``max_steps``."""
-    disp = (lambda x: fold_display(x, env)) if fold else plain_display
-    out = Trace(start=t, show=disp)
+    plain = printer()
+    out = Trace(start=t, show=printer(env) if fold else plain, plain=plain)
     for index, ((kind, detail, cur), _, loop) in enumerate(_walk(env, t, strategy, max_steps), 1):
-        out.steps.append(TraceStep(index, kind, detail, cur, disp))
+        out.steps.append(TraceStep(index, kind, detail, cur, out.show))
         if loop is not None:
             out.stopped = "loop"
             return out

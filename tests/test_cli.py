@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pts_kernel import cli, display, reduce
+from pts_kernel import display
 from pts_kernel.cli import main, run_program
 from pts_kernel.corpus import BUNDLE_IDS
 
@@ -65,9 +65,9 @@ def test_file_target_load_renders_nothing(tmp_path, monkeypatch, capsys):
         calls.append(args)
         return real(*args, **kwargs)
 
-    real = display.fold_display
-    for module in (display, cli, reduce):
-        monkeypatch.setattr(module, "fold_display", counting)
+    # Every display function and every trace printer goes through _render.
+    real = display._render
+    monkeypatch.setattr(display, "_render", counting)
     f = tmp_path / "dev.pts"
     f.write_text(
         (CORPUS / "refined-axiomatic.pts").read_text(encoding="utf-8") + "trace (l₀ p₀ l₂ l₁) 3.\n",

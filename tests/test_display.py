@@ -1,8 +1,18 @@
-from pts_kernel.display import fold_display, match_composition, plain_display, raw_display
-from pts_kernel.env import GlobalEnv, unfold_all
+from hypothesis import given, settings, strategies as st
+
+from pts_kernel.cli import run_program
+from pts_kernel.display import (
+    fold_display,
+    match_composition,
+    plain_display,
+    printer,
+    raw_display,
+)
+from pts_kernel.env import Def, GlobalEnv, unfold_all
 from pts_kernel.parser import elaborate, parse_term_surface
+from pts_kernel.reduce import trace
 from pts_kernel.specs import LAMBDA_HOL
-from pts_kernel.terms import App, Const, alpha_eq
+from pts_kernel.terms import STAR_T, App, Const, Lam, Let, Pi, Var, alpha_eq
 
 
 def _term(src, env):
@@ -110,3 +120,97 @@ def test_raw_display_reparses_to_same_unfolding(simple):
     shown = raw_display(t, env)
     back = _term(shown, env)
     assert alpha_eq(unfold_all(env, back), unfold_all(env, t))
+
+
+# -- printers shared across the rows of a trace -------------------------------
+
+
+def test_shared_closed_node_is_primed_against_its_scope(refined):
+    # One closed node, printed at the same precedence at top level and
+    # under a binder of its own name: the cache key must tell the two
+    # scopes apart.
+    ident = Lam("x", Const("A"), Var(0, "x"))
+    outer = Lam("x", Const("A"), ident)
+    for show in (printer(refined.env), printer()):
+        for first, second in ((ident, outer), (outer, ident)):
+            assert [show(first), show(second), show(first)] == [
+                plain_display(first), plain_display(second), plain_display(first)
+            ]
+        assert show(ident) == "fun (x : A) => x"
+        assert show(outer) == "fun (x : A) => fun (x' : A) => x'"
+
+
+def test_alpha_equal_nodes_keep_their_own_hints():
+    # Both rows of this trace hold `fun (x : A) => x` and `fun (y : A) => y`,
+    # equal as terms but printed under their own hints.
+    env = run_program("const A : *.\nconst k : (A -> A) -> (A -> A) -> A.\n").env
+    t = _term(
+        "(fun (z : A -> A) (w : A -> A) => k w z) (fun (x : A) => x) (fun (y : A) => y)", env
+    )
+    for fold in (True, False):
+        tr = trace(env, t, fold=fold)
+        assert len(tr.steps) == 1
+        assert tr.displays[1] == "k (fun (y : A) => y) (fun (x : A) => x)"
+        assert tr.plain(tr.steps[0].raw) == tr.displays[1]
+        assert tr.displays[0].endswith("(fun (x : A) => x) (fun (y : A) => y)")
+
+
+_HINTS = ("x", "x'", "y", "")
+
+
+def _shared_nodes(env, ops):
+    """Terms built bottom-up from ``ops``, each from earlier ones, so that
+    many nodes are shared; some are equal copies of a binder under a new hint."""
+    defs = [e.name for e in env.entries if isinstance(e, Def)]
+    nodes = [STAR_T, Var(0, "x"), Var(1, "y")] + [Const(n) for n in defs]
+    nodes += [unfold_all(env, Const(n)) for n in defs]
+    sizes = [_size(t) for t in nodes]
+    for op, i, j, hint in ops:
+        (a, sa), (b, sb) = ((nodes[k % len(nodes)], sizes[k % len(nodes)]) for k in (i, j))
+        if op == 0:
+            node, size = App(a, b), 1 + sa + sb
+        elif op == 1:
+            node, size = Lam(hint, a, b), 1 + sa + sb
+        elif op == 2:
+            node, size = Pi(hint, a, b), 1 + sa + sb
+        elif op == 3:
+            node, size = Let(hint, a, a, b), 1 + 2 * sa + sb
+        elif isinstance(a, Lam):
+            node, size = Lam(hint, a.dom, a.body), sa
+        elif isinstance(a, Pi):
+            node, size = Pi(hint, a.dom, a.cod), sa
+        else:
+            continue
+        if size <= 3000:
+            nodes.append(node)
+            sizes.append(size)
+    return nodes
+
+
+def _size(t):
+    match t:
+        case App(f, a):
+            return 1 + _size(f) + _size(a)
+        case Lam(_, dom, body) | Pi(_, dom, body):
+            return 1 + _size(dom) + _size(body)
+        case Let(_, ann, defn, body):
+            return 1 + _size(ann) + _size(defn) + _size(body)
+    return 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 999), st.integers(0, 999), st.sampled_from(_HINTS)),
+        max_size=40,
+    ),
+    rows=st.lists(st.integers(0, 999), min_size=1, max_size=12),
+)
+def test_printer_agrees_with_one_shot_displays(refined, ops, rows):
+    env = refined.env
+    nodes = _shared_nodes(env, ops)
+    folded, plain = printer(env), printer()
+    for r in rows:
+        t = nodes[-1 - r % len(nodes)]
+        assert folded(t) == fold_display(t, env)
+        assert plain(t) == plain_display(t)
