@@ -39,7 +39,8 @@ class ReportLine:
     @property
     def text(self) -> str:
         if self.env is not None:
-            self.parts = tuple(p if isinstance(p, str) else self.show(p, self.env) for p in self.parts)
+            show, env = self.show, self.env
+            self.parts = tuple(p if isinstance(p, str) else show(p, env) for p in self.parts)
             self.env = None
         return "".join(self.parts)
 
@@ -83,7 +84,8 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
     started = False
 
     def say(ok: bool, *parts: object, show: Optional[Callable] = None) -> None:
-        report.lines.append(ReportLine(ok, parts, env, show or (raw_display if raw else fold_display)))
+        show = show or (raw_display if raw else fold_display)
+        report.lines.append(ReportLine(ok, parts, env, show))
 
     for d in directives:
         try:

@@ -131,11 +131,11 @@ def test_shared_closed_node_is_primed_against_its_scope(refined):
     # scopes apart.
     ident = Lam("x", Const("A"), Var(0, "x"))
     outer = Lam("x", Const("A"), ident)
-    for show in (printer(refined.env), printer()):
+    env = refined.env
+    folded = (printer(env), lambda t: fold_display(t, env))
+    for show, once in (folded, (printer(), plain_display)):
         for first, second in ((ident, outer), (outer, ident)):
-            assert [show(first), show(second), show(first)] == [
-                plain_display(first), plain_display(second), plain_display(first)
-            ]
+            assert [show(first), show(second), show(first)] == [once(first), once(second), once(first)]
         assert show(ident) == "fun (x : A) => x"
         assert show(outer) == "fun (x : A) => fun (x' : A) => x'"
 
@@ -201,7 +201,9 @@ def _size(t):
 @settings(max_examples=150, deadline=None)
 @given(
     ops=st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 999), st.integers(0, 999), st.sampled_from(_HINTS)),
+        st.tuples(
+            st.integers(0, 4), st.integers(0, 999), st.integers(0, 999), st.sampled_from(_HINTS)
+        ),
         max_size=40,
     ),
     rows=st.lists(st.integers(0, 999), min_size=1, max_size=12),
