@@ -121,7 +121,7 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
                 env = add_entry(env, Def(d.name, ty, body))
                 say(True, f"def {d.name} : ", ty)
             elif d.kind == "rewrite":
-                rule = build_rewrite(env, d.name, d.parts[0], d.parts[1])
+                rule = build_rewrite(env, d.name, d.parts[0], d.parts[1], d.line, d.col)
                 env = add_entry(env, rule)
                 say(True, f"rewrite {d.name}")
             elif d.kind == "check":

@@ -469,10 +469,14 @@ def _expand_composition(
     return Lam(hint, fty.dom, App(shift(g, 1), App(shift(f, 1), Var(0, hint))))
 
 
-def build_rewrite(env: GlobalEnv, name: str, lhs: Surface, rhs: Surface):
+def build_rewrite(
+    env: GlobalEnv, name: str, lhs: Surface, rhs: Surface, line: int = 0, col: int = 0
+):
     """Assemble a rewrite rule: pattern from ``lhs``, right side elaborated
-    under the metavariable telescope the pattern induces."""
-    pattern = surface_to_pattern(lhs)
+    under the metavariable telescope the pattern induces.  ``line`` and
+    ``col`` locate the directive, for pattern errors with no position of
+    their own."""
+    pattern = surface_to_pattern(lhs, line, col)
     metas = pattern.metavars()
     types: list[Optional[Term]] = [None] * len(metas)
     _type_pattern(env, pattern, types)
@@ -481,8 +485,9 @@ def build_rewrite(env: GlobalEnv, name: str, lhs: Surface, rhs: Surface):
     return Rewrite(name, pattern, rhs_term)
 
 
-def surface_to_pattern(s: Surface) -> Pattern:
-    """Interpret a parsed term as a left-linear rewrite pattern."""
+def surface_to_pattern(s: Surface, line: int, col: int) -> Pattern:
+    """Interpret a parsed term as a left-linear rewrite pattern; shape errors
+    are reported at ``line``:``col``."""
     indices: dict[str, int] = {}
 
     def go(s: Surface) -> Pattern:
@@ -491,7 +496,7 @@ def surface_to_pattern(s: Surface) -> Pattern:
             args.append(arg(s.arg))
             s = s.fn
         if not isinstance(s, SName):
-            raise ParseError("pattern head must be a constant", 0, 0)
+            raise ParseError("pattern head must be a constant", line, col)
         args.reverse()
         return Pattern(s.name, tuple(args))
 
@@ -503,7 +508,7 @@ def surface_to_pattern(s: Surface) -> Pattern:
             return MetaArg(indices[s.name], s.name)
         if isinstance(s, (SApp, SName)):
             return go(s)
-        raise ParseError("pattern arguments are metavariables or constant spines", 0, 0)
+        raise ParseError("pattern arguments are metavariables or constant spines", line, col)
 
     pattern = go(s)
     pattern.validate()

@@ -6,6 +6,15 @@ strategy is whnf-then-structural with lazy delta: a spine headed by a defined
 constant is first compared against an equal-named spine argumentwise, and only
 unfolded when that fails or when heads differ.
 
+One ``convert`` call memoizes every sub-problem it decides, true or false, so
+an argument comparison that failed before an unfolding is not solved again
+after it; nested Church numerals then convert in polynomial rather than
+exponential time.  The memo lives for one call only: it keys a problem by the
+context's depth, which determines the context only while the base context is
+fixed.  Another call, for instance one made under a ``let``, may bind a
+different value at the same depth.  A problem between two closed terms reads
+no context at all and is keyed without its depth.
+
 Top-level definitions are checked telescopically: leading lambdas of a
 definition body are matched against products of its annotation without
 consulting the product-rule table.  Definitions with parameters therefore work
@@ -188,17 +197,29 @@ def whnf(env: GlobalEnv, t: Term, ctx: Ctx = (), fuel: Optional[Fuel] = None) ->
 
 def convert(env: GlobalEnv, a: Term, b: Term, ctx: Ctx = (), fuel: Optional[Fuel] = None) -> bool:
     """Decide beta-delta-rho convertibility. Raises FuelExhausted, never loops."""
-    return _conv(env, a, b, ctx, fuel or Fuel())
+    return _conv(env, a, b, ctx, fuel or Fuel(), {})
 
 
-def _conv(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel) -> bool:
+# Verdicts decided within one ``convert`` call, keyed by both terms (hashed
+# structurally, compared up to alpha) and the context depth, or 0 for two
+# closed terms.  Depth stands for the context only within the call, because
+# ``_conv_rigid`` pushes only value-less binders onto the caller's context.
+Memo = dict[tuple[Term, Term, int], bool]
+
+
+def _conv(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel, memo: Memo) -> bool:
     if alpha_eq(a, b):
         return True
+    key = (a, b, len(ctx) if a.fa or b.fa else 0)
+    verdict = memo.get(key)
+    if verdict is not None:
+        return verdict
     a = _head_reduce(env, a, ctx, fuel, lazy_defs=True)
     b = _head_reduce(env, b, ctx, fuel, lazy_defs=True)
     while True:
         if alpha_eq(a, b):
-            return True
+            verdict = True
+            break
         ha, aargs = spine(a)
         hb, bargs = spine(b)
         body_a = env.def_body(ha.name) if isinstance(ha, Const) else None
@@ -208,11 +229,13 @@ def _conv(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel) -> bool:
             and isinstance(hb, Const)
             and ha.name == hb.name
             and len(aargs) == len(bargs)
-            and all(_conv(env, x, y, ctx, fuel) for x, y in zip(aargs, bargs))
+            and all(_conv(env, x, y, ctx, fuel, memo) for x, y in zip(aargs, bargs))
         ):
-            return True
+            verdict = True
+            break
         if body_a is None and body_b is None:
-            return _conv_rigid(env, a, b, ctx, fuel)
+            verdict = _conv_rigid(env, a, b, ctx, fuel, memo)
+            break
         # Unfold one side at a time, younger definition first, re-checking
         # alignment after each unfolding; this lets a term meet its own
         # reduct instead of the two sides chasing each other.
@@ -225,9 +248,11 @@ def _conv(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel) -> bool:
         else:
             fuel.spend()
             b = _head_reduce(env, app(body_b, *bargs), ctx, fuel, lazy_defs=True)
+    memo[key] = verdict
+    return verdict
 
 
-def _conv_rigid(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel) -> bool:
+def _conv_rigid(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel, memo: Memo) -> bool:
     ha, aargs = spine(a)
     hb, bargs = spine(b)
     if type(ha) is not type(hb) or len(aargs) != len(bargs):
@@ -240,18 +265,18 @@ def _conv_rigid(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel) -> bool:
         case Const(n1), Const(n2):
             heads_ok = n1 == n2
         case Lam(_, d1, b1), Lam(_, d2, b2):
-            heads_ok = _conv(env, d1, d2, ctx, fuel) and _conv(
-                env, b1, b2, push(ctx, ha.hint, d1), fuel
+            heads_ok = _conv(env, d1, d2, ctx, fuel, memo) and _conv(
+                env, b1, b2, push(ctx, ha.hint, d1), fuel, memo
             )
         case Pi(_, d1, c1), Pi(_, d2, c2):
-            heads_ok = _conv(env, d1, d2, ctx, fuel) and _conv(
-                env, c1, c2, push(ctx, ha.hint, d1), fuel
+            heads_ok = _conv(env, d1, d2, ctx, fuel, memo) and _conv(
+                env, c1, c2, push(ctx, ha.hint, d1), fuel, memo
             )
         case _:
             heads_ok = False
     if not heads_ok:
         return False
-    return all(_conv(env, x, y, ctx, fuel) for x, y in zip(aargs, bargs))
+    return all(_conv(env, x, y, ctx, fuel, memo) for x, y in zip(aargs, bargs))
 
 
 def _sort_of(env: GlobalEnv, t: Term, ctx: Ctx, what: str) -> Sort:

@@ -157,3 +157,20 @@ trace (twice c) 3.
     rows = [l.text.strip() for l in report.lines if l.text.startswith("  ")]
     assert rows[0] == "twice c"
     assert rows[1] == "c"
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ("rewrite r : $x => a.", "pattern head must be a constant"),
+        (
+            "rewrite r : f (fun (y : A) => y) => a.",
+            "pattern arguments are metavariables or constant spines",
+        ),
+    ],
+)
+def test_rewrite_pattern_errors_report_the_directive_position(rule, message):
+    src = "system lambda-hol.\nconst A : *.\nconst a : A.\nconst f : A -> A.\n  " + rule
+    report = run_program(src)
+    assert isinstance(report.error, ParseError)
+    assert report.lines[-1].text == f"rewrite r: 5:3: {message}"

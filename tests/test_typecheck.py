@@ -1,11 +1,12 @@
 import pytest
 
+from pts_kernel.cli import run_program
 from pts_kernel.env import Decl, add_entry
 from pts_kernel.errors import TypeCheckError
 from pts_kernel.parser import elaborate, parse_term_surface
 from pts_kernel.specs import LAMBDA_U_MINUS
-from pts_kernel.terms import BOX_T, Const, Lam, Pi, SortT, alpha_eq, app
-from pts_kernel.typecheck import Fuel, check, convert, infer, whnf
+from pts_kernel.terms import BOX_T, Const, Lam, Pi, SortT, Var, alpha_eq, app
+from pts_kernel.typecheck import Fuel, check, convert, infer, push, whnf
 
 
 def _term(src, env):
@@ -61,8 +62,6 @@ def test_check_successor_lemma(refined):
 
 
 def test_whnf_contracts_beta_redex(simple):
-    from pts_kernel.terms import Var
-
     env = simple.env
     t = app(Lam("x", BOX_T, Var(0)), Const("A"))  # A is opaque, so whnf stops
     assert whnf(env, t) == Const("A")
@@ -177,3 +176,56 @@ def test_infer_unknown_constant(simple):
     with pytest.raises(TypeCheckError) as err:
         infer(simple.env, Const("ghost"))
     assert err.value.kind == "UnknownConstant"
+
+
+# The Church-numeral prelude of bench/gen.py, with numerals written as
+# ``succ (… zero)``.
+NAT_PRELUDE = """system lambda-hol.
+def Nat : * := forall (X : *), (X -> X) -> X -> X.
+def zero : Nat := fun (X : *) (s : X -> X) (z : X) => z.
+def succ : Nat -> Nat := fun (n : Nat) (X : *) (s : X -> X) (z : X) => s (n X s z).
+def add : Nat -> Nat -> Nat := fun (m : Nat) (n : Nat) (X : *) (s : X -> X) (z : X) => m X s (n X s z).
+def mul : Nat -> Nat -> Nat := fun (m : Nat) (n : Nat) (X : *) (s : X -> X) => m X (n X s).
+"""
+
+
+def _numeral(k):
+    return "zero" if k == 0 else "succ (" * (k - 1) + "succ zero" + ")" * (k - 1)
+
+
+@pytest.fixture(scope="module")
+def church():
+    defs = "".join(f"def n{k} : Nat := {_numeral(k)}.\n" for k in (*range(31), 144, 200, 400))
+    return run_program(NAT_PRELUDE + defs).env
+
+
+@pytest.mark.parametrize(
+    "a, b", [("add n15 n15", "n30"), ("mul n12 n12", "n144"), ("add n200 n200", "n400")]
+)
+def test_church_arithmetic_converts_at_default_fuel(church, a, b):
+    # Nested numerals share head constants, so lazy delta meets the same
+    # sub-problems again after every failed argumentwise comparison, and
+    # meets closed ones again under ever more binders.
+    assert convert(church, _term(a, church), _term(b, church))
+
+
+def test_false_church_sum_does_not_convert(church):
+    assert not convert(church, _term("add n7 n4", church), _term("n12", church))
+
+
+def test_conversion_memo_does_not_outlive_its_call(church):
+    # Both contexts bind slot 0 at the same depth, to different values.
+    nat, two, three = Const("Nat"), Const("n2"), Const("n3")
+    assert convert(church, Var(0), two, push((), "k", nat, two))
+    assert not convert(church, Var(0), two, push((), "k", nat, three))
+
+
+def test_conversion_memo_keys_open_problems_by_depth(church):
+    # Under k := n2, ``Var(0) ≡ n2`` holds at depth 1, where index 0 is k,
+    # and fails at depth 2, where it is the value-less x: pair k (fun x => x)
+    # is not pair n2 (fun x => n2).
+    env = _extend(church, ("pair", "Nat -> (Nat -> Nat) -> Nat"))
+    nat, two = Const("Nat"), Const("n2")
+    a = app(Const("pair"), Var(0), Lam("x", nat, Var(0)))
+    b = app(Const("pair"), two, Lam("x", nat, two))
+    assert not convert(env, a, b, push((), "k", nat, two))
