@@ -1,10 +1,14 @@
 import random
 
+from hypothesis import given, strategies as st
+
+from pts_kernel.env import instantiate
 from pts_kernel.terms import (
     App,
     BOX_T,
     Const,
     Lam,
+    Let,
     Pi,
     STAR_T,
     Term,
@@ -14,6 +18,7 @@ from pts_kernel.terms import (
     shift,
     spine,
     subst,
+    try_unshift,
 )
 
 
@@ -83,16 +88,23 @@ def _random_term(rng: random.Random, depth: int, free: int) -> Term:
         if free > 0 and rng.random() < 0.6:
             return Var(rng.randrange(free), rng.choice("xyzw"))
         return rng.choice([Const("a"), Const("b"), STAR_T])
-    if choice < 0.55:
+    if choice < 0.5:
         return App(_random_term(rng, depth - 1, free), _random_term(rng, depth - 1, free))
-    if choice < 0.8:
+    if choice < 0.7:
         return Lam(
             rng.choice("uvw"),
             _random_term(rng, depth - 1, free),
             _random_term(rng, depth - 1, free + 1),
         )
-    return Pi(
-        rng.choice("pq"),
+    if choice < 0.85:
+        return Pi(
+            rng.choice("pq"),
+            _random_term(rng, depth - 1, free),
+            _random_term(rng, depth - 1, free + 1),
+        )
+    return Let(
+        rng.choice("lm"),
+        _random_term(rng, depth - 1, free),
         _random_term(rng, depth - 1, free),
         _random_term(rng, depth - 1, free + 1),
     )
@@ -109,6 +121,8 @@ def _rehint(rng: random.Random, t: Term) -> Term:
             return Lam(rng.choice("mn"), _rehint(rng, dom), _rehint(rng, body))
         case Pi(_, dom, cod):
             return Pi(rng.choice("rs"), _rehint(rng, dom), _rehint(rng, cod))
+        case Let(_, ann, defn, body):
+            return Let(rng.choice("jk"), _rehint(rng, ann), _rehint(rng, defn), _rehint(rng, body))
         case _:
             return t
 
@@ -137,3 +151,136 @@ def test_alpha_eq_is_hint_blind():
         a = _random_term(rng, 4, 1)
         b = _rehint(rng, a)
         assert alpha_eq(a, b)
+
+
+# -- the four re-indexing operations against a textbook reference -----------
+#
+# The reference rebuilds every node, like ``tmmap`` in Pierce's *Types and
+# Programming Languages* (section 6.2): no ``fa`` fast path, no sharing.
+
+
+def _ref_map(t: Term, c: int, on_var) -> Term:
+    """Rebuild ``t``, replacing each variable ``v`` under ``c`` binders
+    (counting the initial cutoff) by ``on_var(v, c)``."""
+    match t:
+        case Var(_, _):
+            return on_var(t, c)
+        case App(f, a):
+            return App(_ref_map(f, c, on_var), _ref_map(a, c, on_var))
+        case Lam(h, dom, body):
+            return Lam(h, _ref_map(dom, c, on_var), _ref_map(body, c + 1, on_var))
+        case Pi(h, dom, cod):
+            return Pi(h, _ref_map(dom, c, on_var), _ref_map(cod, c + 1, on_var))
+        case Let(h, ann, defn, body):
+            return Let(
+                h, _ref_map(ann, c, on_var), _ref_map(defn, c, on_var), _ref_map(body, c + 1, on_var)
+            )
+    return t
+
+
+def _ref_shift(t: Term, by: int, cutoff: int = 0) -> Term:
+    return _ref_map(t, cutoff, lambda v, c: Var(v.index + by, v.hint) if v.index >= c else v)
+
+
+def _ref_subst(body: Term, value: Term, j: int = 0) -> Term:
+    def on_var(v: Var, c: int) -> Term:
+        if v.index == c:
+            return _ref_shift(value, c)
+        return Var(v.index - 1, v.hint) if v.index > c else v
+
+    return _ref_map(body, j, on_var)
+
+
+def _ref_occurs(t: Term, cutoff: int) -> bool:
+    hits: list[Var] = []
+
+    def on_var(v: Var, c: int) -> Term:
+        if v.index == c:
+            hits.append(v)
+        return v
+
+    _ref_map(t, cutoff, on_var)
+    return bool(hits)
+
+
+def _ref_unshift(t: Term, cutoff: int = 0) -> Term:
+    return _ref_map(t, cutoff, lambda v, c: Var(v.index - 1, v.hint) if v.index > c else v)
+
+
+def _ref_instantiate(rhs: Term, sigma: list[Term], depth: int = 0) -> Term:
+    return _ref_map(rhs, depth, lambda v, c: _ref_shift(sigma[v.index - c], c) if v.index >= c else v)
+
+
+def _exact(t: Term):
+    """``t`` as nested tuples keeping every variable and binder hint, which
+    ``alpha_eq`` ignores and the printer reads."""
+    match t:
+        case Var(k, h):
+            return ("V", k, h)
+        case App(f, a):
+            return ("A", _exact(f), _exact(a))
+        case Lam(h, dom, body):
+            return ("L", h, _exact(dom), _exact(body))
+        case Pi(h, dom, cod):
+            return ("P", h, _exact(dom), _exact(cod))
+        case Let(h, ann, defn, body):
+            return ("T", h, _exact(ann), _exact(defn), _exact(body))
+    return repr(t)
+
+
+def _parts(t: Term, c: int) -> list[tuple[Term, int]]:
+    """The children of ``t`` with their cutoffs, ``c`` being ``t``'s."""
+    match t:
+        case App(f, a):
+            return [(f, c), (a, c)]
+        case Lam(_, dom, body) | Pi(_, dom, body):
+            return [(dom, c), (body, c + 1)]
+        case Let(_, ann, defn, body):
+            return [(ann, c), (defn, c), (body, c + 1)]
+    return []
+
+
+def _assert_shares(t: Term, out: Term, cutoff: int) -> None:
+    """Every subterm of ``t`` with no variable at or above its cutoff comes
+    back in ``out`` as the same object."""
+    if t.fa <= cutoff:
+        assert out is t
+    elif type(t) is not Var:
+        for (x, c), (y, _) in zip(_parts(t, cutoff), _parts(out, cutoff)):
+            _assert_shares(x, y, c)
+
+
+FREE = 3  # free variables of generated terms: Var(0) .. Var(FREE - 1) at the root
+_terms = st.randoms(use_true_random=False).map(lambda rng: _random_term(rng, 5, FREE))
+_values = st.randoms(use_true_random=False).map(lambda rng: _random_term(rng, 3, FREE))
+_cutoffs = st.integers(0, FREE)
+
+
+@given(t=_terms, by=st.integers(0, 3), cutoff=_cutoffs)
+def test_shift_matches_reference(t, by, cutoff):
+    out = shift(t, by, cutoff)
+    assert _exact(out) == _exact(_ref_shift(t, by, cutoff))
+    _assert_shares(t, out, cutoff)
+
+
+@given(t=_terms, value=_values, j=_cutoffs)
+def test_subst_matches_reference(t, value, j):
+    out = subst(t, value, j)
+    assert _exact(out) == _exact(_ref_subst(t, value, j))
+    _assert_shares(t, out, j)
+
+
+@given(t=_terms, cutoff=_cutoffs)
+def test_try_unshift_matches_reference(t, cutoff):
+    out = try_unshift(t, cutoff)
+    assert (out is None) == _ref_occurs(t, cutoff)
+    if out is not None:
+        assert _exact(out) == _exact(_ref_unshift(t, cutoff))
+        _assert_shares(t, out, cutoff)
+
+
+@given(t=_terms, sigma=st.lists(_values, min_size=FREE, max_size=FREE), depth=_cutoffs)
+def test_instantiate_matches_reference(t, sigma, depth):
+    out = instantiate(t, sigma, depth)
+    assert _exact(out) == _exact(_ref_instantiate(t, sigma, depth))
+    _assert_shares(t, out, depth)
