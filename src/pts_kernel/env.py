@@ -7,7 +7,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import DuplicateNameError, IllFormedPatternError, TypeCheckError, UNKNOWN_CONSTANT
 from .specs import PtsSpec
-from .terms import HOLE, App, Const, Lam, Let, Pi, SortT, Term, Var, shift, subst
+from .terms import HOLE, App, Const, Lam, Let, Pi, SortT, Term, Var, subst
 
 
 @dataclass(frozen=True)
@@ -195,32 +195,6 @@ def pattern_term(pattern: Pattern) -> Term:
         arg = Var(a.index, a.hint) if isinstance(a, MetaArg) else pattern_term(a)
         t = App(t, arg)
     return t
-
-
-def instantiate(rhs: Term, sigma: list[Term], depth: int = 0) -> Term:
-    """Plug a metavariable assignment into a rule right-hand side."""
-    if rhs.fa <= depth:
-        return rhs
-    match rhs:
-        case Var(k, _):
-            if k >= depth:
-                return shift(sigma[k - depth], depth)
-            return rhs
-        case App(f, a):
-            return App(instantiate(f, sigma, depth), instantiate(a, sigma, depth))
-        case Lam(h, dom, body):
-            return Lam(h, instantiate(dom, sigma, depth), instantiate(body, sigma, depth + 1))
-        case Pi(h, dom, cod):
-            return Pi(h, instantiate(dom, sigma, depth), instantiate(cod, sigma, depth + 1))
-        case Let(h, ann, d, b):
-            return Let(
-                h,
-                instantiate(ann, sigma, depth),
-                instantiate(d, sigma, depth),
-                instantiate(b, sigma, depth + 1),
-            )
-        case _:
-            return rhs
 
 
 def unfold_all(env: GlobalEnv, t: Term, memo: Optional[dict[Term, Term]] = None) -> Term:

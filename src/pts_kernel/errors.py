@@ -4,10 +4,15 @@ from __future__ import annotations
 
 
 class KernelError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; ``kind`` names
+    the failure, per class or, for a ``TypeCheckError``, per instance."""
+
+    kind = "KernelError"
 
 
 class ParseError(KernelError):
+    kind = "ParseError"
+
     def __init__(self, message: str, line: int, column: int) -> None:
         super().__init__(f"{line}:{column}: {message}")
         self.message = message
@@ -16,17 +21,19 @@ class ParseError(KernelError):
 
 
 class DuplicateNameError(KernelError):
+    kind = "DuplicateName"
+
     def __init__(self, name: str) -> None:
         super().__init__(f"name already defined: {name}")
         self.name = name
 
 
 class IllFormedPatternError(KernelError):
-    pass
+    kind = "IllFormedPattern"
 
 
 class ErasureNeedsTypesError(KernelError):
-    pass
+    kind = "ErasureNeedsTypes"
 
 
 # Kind tags for TypeCheckError.  Kept as plain strings so errors render and

@@ -24,7 +24,7 @@ from typing import Optional, Union
 from .env import GlobalEnv, MetaArg, Pattern, Rewrite
 from .errors import ParseError, TypeCheckError
 from .terms import App, Const, Lam, Let, Pi, SORT_BY_TOKEN, SortT, Term, Var, shift
-from .typecheck import Ctx, _type_pattern, infer, push, whnf
+from .typecheck import Ctx, infer, push, rule_context, whnf
 
 KEYWORDS = frozenset(
     "fun forall Pi let in const def rewrite check conv trace system axiom rule".split()
@@ -392,11 +392,14 @@ def elaborate(
     env: GlobalEnv,
     scope: Optional[list[str]] = None,
     ctx: Ctx = (),
-    metas: Optional[dict[str, tuple[int, Term]]] = None,
+    metas: Ctx = (),
 ) -> Term:
     """Resolve names and expand notations; ``scope`` lists binder names
-    innermost-first, aligned with ``ctx``."""
+    innermost-first, aligned with ``ctx``.  ``metas`` is the context of a
+    rule's metavariables (``typecheck.rule_context``), which sits below
+    ``ctx``."""
     scope = scope if scope is not None else []
+    meta_hints = [hint for hint, _, _ in metas]
 
     def go(s: Surface, scope: list[str], ctx: Ctx) -> Term:
         match s:
@@ -408,10 +411,9 @@ def elaborate(
                     return _const_ref(env, name, line, col)
                 raise ParseError(f"unknown name {name}", line, col)
             case SMeta(name, line, col):
-                if metas is None or name not in metas:
+                if name not in meta_hints:
                     raise ParseError(f"metavariable ${name} not allowed here", line, col)
-                index, _ = metas[name]
-                return Var(len(scope) + index, name)
+                return Var(len(scope) + meta_hints.index(name), name)
             case SSort(token):
                 return SortT(SORT_BY_TOKEN[token])
             case SApp(f, a):
@@ -431,7 +433,7 @@ def elaborate(
             case SComp(gs, fs, line, col):
                 g = go(gs, scope, ctx)
                 f = go(fs, scope, ctx)
-                return _expand_composition(env, g, f, scope, ctx, metas, line, col)
+                return _expand_composition(env, g, f, scope, ctx + metas, line, col)
         raise AssertionError("unreachable surface node")
 
     return go(s, scope, ctx)
@@ -449,18 +451,11 @@ def _expand_composition(
     f: Term,
     scope: list[str],
     ctx: Ctx,
-    metas: Optional[dict[str, tuple[int, Term]]],
     line: int,
     col: int,
 ) -> Term:
-    infer_ctx = ctx
-    if metas is not None:
-        # The metavariable telescope sits below the local binders.
-        infer_ctx = ctx + tuple(
-            (name, ty, None) for name, (_, ty) in sorted(metas.items(), key=lambda kv: kv[1][0])
-        )
     try:
-        fty = whnf(env, infer(env, f, infer_ctx), infer_ctx)
+        fty = whnf(env, infer(env, f, ctx), ctx)
     except TypeCheckError as err:
         raise ParseError(f"cannot type right side of ∘: {err}", line, col) from err
     if not isinstance(fty, Pi):
@@ -477,11 +472,8 @@ def build_rewrite(
     ``col`` locate the directive, for pattern errors with no position of
     their own."""
     pattern = surface_to_pattern(lhs, line, col)
-    metas = pattern.metavars()
-    types: list[Optional[Term]] = [None] * len(metas)
-    _type_pattern(env, pattern, types)
-    meta_scope = {m.hint: (m.index, types[m.index]) for m in metas}
-    rhs_term = elaborate(rhs, env, metas=meta_scope)  # type: ignore[arg-type]
+    metas, _ = rule_context(env, pattern)
+    rhs_term = elaborate(rhs, env, metas=metas)
     return Rewrite(name, pattern, rhs_term)
 
 

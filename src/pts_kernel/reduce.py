@@ -56,7 +56,7 @@ from .terms import (
     spine,
     subst,
 )
-from .typecheck import Ctx, Fuel, _try_rules, _type_pattern, infer, push, whnf
+from .typecheck import Ctx, Fuel, _try_rules, infer, push, rule_context, whnf
 
 HEAD_DEF = "head-def"
 HEAD_LINEAR = "head-linear"
@@ -120,28 +120,29 @@ def head_def_step(env: GlobalEnv, t: Term) -> Optional[tuple[str, str, Term]]:
     """One definition-level head event, or None when head-normal."""
     head, args = spine(t)
     if isinstance(head, Lam) and args:
-        count = 0
-        cur: Term = head
-        while isinstance(cur, Lam) and count < len(args):
-            cur = subst(cur.body, args[count])
-            count += 1
-        return BETA_CONTRACT, str(count), app(cur, *args[count:])
+        count, new = _contract(head, args)
+        return BETA_CONTRACT, str(count), new
     if isinstance(head, Let):
         return DELTA_UNFOLD, head.hint, app(subst(head.body, head.defn), *args)
     if isinstance(head, Const):
         body = env.def_body(head.name)
         if body is not None:
-            k = 0
-            cur = body
-            while isinstance(cur, Lam) and k < len(args):
-                cur = subst(cur.body, args[k])
-                k += 1
-            return DELTA_UNFOLD, head.name, app(cur, *args[k:])
+            return DELTA_UNFOLD, head.name, _contract(body, args)[1]
         fired = _try_rules(env, head.name, list(reversed(args)), (), Fuel())
         if fired is not None:
             rule_name, new, stack = fired
             return REWRITE_FIRE, rule_name, app(new, *reversed(stack))
     return None
+
+
+def _contract(fn: Term, args: list[Term]) -> tuple[int, Term]:
+    """Substitute leading ``args`` into the ``fun`` chain ``fn``; returns how
+    many it consumed and the result applied to the others."""
+    count = 0
+    while isinstance(fn, Lam) and count < len(args):
+        fn = subst(fn.body, args[count])
+        count += 1
+    return count, app(fn, *args[count:])
 
 
 class _LinearMachine:
@@ -278,12 +279,7 @@ def readback(t: Term) -> Term:
         if isinstance(head, Let):
             t = app(subst(head.body, head.defn), *args)
         elif isinstance(head, Lam) and args:
-            i = 0
-            cur: Term = head
-            while isinstance(cur, Lam) and i < len(args):
-                cur = subst(cur.body, args[i])
-                i += 1
-            t = app(cur, *args[i:])
+            t = _contract(head, args)[1]
         else:
             return t
         budget -= 1
@@ -460,14 +456,8 @@ def erase_env(env: GlobalEnv, mode: str) -> GlobalEnv:
         if isinstance(e, Def):
             entries.append(Def(e.name, e.type, erase(e.body, mode, env=env)))
         elif isinstance(e, Rewrite):
-            if mode == POLY:
-                metas = e.lhs.metavars()
-                types: list[Optional[Term]] = [None] * len(metas)
-                _type_pattern(env, e.lhs, types)
-                ctx: Ctx = tuple((m.hint, types[m.index], None) for m in metas)  # type: ignore[misc]
-                entries.append(Rewrite(e.name, e.lhs, erase(e.rhs, mode, env=env, ctx=ctx)))
-            else:
-                entries.append(Rewrite(e.name, e.lhs, erase(e.rhs, mode, env=env)))
+            ctx = rule_context(env, e.lhs)[0] if mode == POLY else ()
+            entries.append(Rewrite(e.name, e.lhs, erase(e.rhs, mode, env=env, ctx=ctx)))
         else:
             entries.append(e)
     return GlobalEnv(env.spec, tuple(entries))

@@ -1,16 +1,20 @@
-"""Term syntax: sorts, de Bruijn terms, alpha-equality, shifting, substitution.
+"""Term syntax: sorts, de Bruijn terms, alpha-equality and re-indexing.
 
 Binding is by de Bruijn index; every binder and variable carries a display
 hint that is ignored by equality, hashing, and substitution.  Each node caches
 a structural hash (``shash``) and the number of dangling indices (``fa``,
-one more than the largest free index) so that equality checks, loop-detection
-hashing, and the no-op fast paths of ``shift``/``subst`` are cheap even on
-very large reduction states.
+one more than the largest free index) so that equality checks and
+loop-detection hashing are cheap even on very large reduction states.
+
+``shift``, ``subst``, ``try_unshift`` and ``instantiate`` re-index variables
+through one traversal, ``_reindex``; each gives only what a variable at or
+above the cutoff becomes.  The traversal returns every subterm with no such
+variable (``fa <= cutoff``) as the same object, which callers rely on.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 
 class Sort:
@@ -189,28 +193,39 @@ def alpha_eq(a: Term, b: Term) -> bool:
     return True
 
 
+def _reindex(t: Term, cutoff: int, leaf: Callable[[Var, int], Term]) -> Term:
+    """Rebuild ``t`` with each variable at or above the cutoff replaced by
+    ``leaf(var, cutoff)``, the cutoff growing by one under each binder.
+
+    Identity contract: a subterm with no variable at or above its cutoff
+    (``fa <= cutoff``) comes back as the same object, not a copy.  The trace
+    printer caches strings by node identity and the head-linear machine
+    shares nodes between states; both rely on it.
+    """
+    if t.fa <= cutoff:
+        return t
+    cls = type(t)
+    if cls is Var:
+        return leaf(t, cutoff)
+    if cls is App:
+        return App(_reindex(t.fn, cutoff, leaf), _reindex(t.arg, cutoff, leaf))
+    if cls is Lam:
+        return Lam(t.hint, _reindex(t.dom, cutoff, leaf), _reindex(t.body, cutoff + 1, leaf))
+    if cls is Pi:
+        return Pi(t.hint, _reindex(t.dom, cutoff, leaf), _reindex(t.cod, cutoff + 1, leaf))
+    return Let(  # sorts and constants have fa == 0, so only Let is left
+        t.hint,
+        _reindex(t.ann, cutoff, leaf),
+        _reindex(t.defn, cutoff, leaf),
+        _reindex(t.body, cutoff + 1, leaf),
+    )
+
+
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Shift dangling indices >= ``cutoff`` by ``by``."""
-    if by == 0 or t.fa <= cutoff:
+    if by == 0:
         return t
-    match t:
-        case Var(k, hint):
-            return Var(k + by, hint) if k >= cutoff else t
-        case App(f, a):
-            return App(shift(f, by, cutoff), shift(a, by, cutoff))
-        case Lam(h, dom, body):
-            return Lam(h, shift(dom, by, cutoff), shift(body, by, cutoff + 1))
-        case Pi(h, dom, cod):
-            return Pi(h, shift(dom, by, cutoff), shift(cod, by, cutoff + 1))
-        case Let(h, ann, defn, body):
-            return Let(
-                h,
-                shift(ann, by, cutoff),
-                shift(defn, by, cutoff),
-                shift(body, by, cutoff + 1),
-            )
-        case _:
-            return t
+    return _reindex(t, cutoff, lambda v, c: Var(v.index + by, v.hint))
 
 
 def subst(body: Term, value: Term, j: int = 0) -> Term:
@@ -219,60 +234,34 @@ def subst(body: Term, value: Term, j: int = 0) -> Term:
     ``value`` is expected to live outside the binder being eliminated, i.e.
     at index depth ``j`` less than occurrences of ``Var(j)``.
     """
-    if body.fa <= j:
-        return body
-    match body:
-        case Var(k, _):
-            if k == j:
-                return shift(value, j)
-            if k > j:
-                return Var(k - 1, body.hint)
-            return body
-        case App(f, a):
-            return App(subst(f, value, j), subst(a, value, j))
-        case Lam(h, dom, b):
-            return Lam(h, subst(dom, value, j), subst(b, value, j + 1))
-        case Pi(h, dom, c):
-            return Pi(h, subst(dom, value, j), subst(c, value, j + 1))
-        case Let(h, ann, d, b):
-            return Let(
-                h,
-                subst(ann, value, j),
-                subst(d, value, j),
-                subst(b, value, j + 1),
-            )
-        case _:
-            return body
+    return _reindex(
+        body, j, lambda v, c: shift(value, c) if v.index == c else Var(v.index - 1, v.hint)
+    )
+
+
+class _Occurs(Exception):
+    """``Var(cutoff)`` occurs in a term ``try_unshift`` was asked to lower."""
+
+
+def _unshift_leaf(v: Var, cutoff: int) -> Term:
+    if v.index == cutoff:
+        raise _Occurs
+    return Var(v.index - 1, v.hint)
 
 
 def try_unshift(t: Term, cutoff: int = 0) -> Optional[Term]:
     """Lower dangling indices by one, or None if ``Var(cutoff)`` occurs."""
-    if t.fa <= cutoff:
-        return t
-    match t:
-        case Var(k, hint):
-            if k == cutoff:
-                return None
-            return Var(k - 1, hint) if k > cutoff else t
-        case App(f, a):
-            nf = try_unshift(f, cutoff)
-            na = try_unshift(a, cutoff) if nf is not None else None
-            return App(nf, na) if na is not None else None
-        case Lam(h, dom, body):
-            nd = try_unshift(dom, cutoff)
-            nb = try_unshift(body, cutoff + 1) if nd is not None else None
-            return Lam(h, nd, nb) if nb is not None else None
-        case Pi(h, dom, cod):
-            nd = try_unshift(dom, cutoff)
-            nc = try_unshift(cod, cutoff + 1) if nd is not None else None
-            return Pi(h, nd, nc) if nc is not None else None
-        case Let(h, ann, d, b):
-            na = try_unshift(ann, cutoff)
-            ndn = try_unshift(d, cutoff) if na is not None else None
-            nb = try_unshift(b, cutoff + 1) if ndn is not None else None
-            return Let(h, na, ndn, nb) if nb is not None else None
-        case _:
-            return t
+    try:
+        return _reindex(t, cutoff, _unshift_leaf)
+    except _Occurs:
+        return None
+
+
+def instantiate(rhs: Term, sigma: list[Term], depth: int = 0) -> Term:
+    """Plug a metavariable assignment into a rule right-hand side:
+    metavariable ``i``, ``Var(i + d)`` under ``d`` binders, becomes
+    ``sigma[i]`` shifted by ``d``."""
+    return _reindex(rhs, depth, lambda v, c: shift(sigma[v.index - c], c))
 
 
 def spine(t: Term) -> tuple[Term, list[Term]]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .display import fold_display
-from .env import Decl, Def, GlobalEnv, MetaArg, Pattern, Rewrite, instantiate, pattern_term
+from .env import Decl, Def, GlobalEnv, MetaArg, Pattern, Rewrite, pattern_term
 from .errors import (
     DOMAIN_MISMATCH,
     FUEL_EXHAUSTED,
@@ -53,6 +53,7 @@ from .terms import (
     Var,
     alpha_eq,
     app,
+    instantiate,
     shift,
     spine,
     subst,
@@ -390,13 +391,7 @@ def check_entry(env: GlobalEnv, entry: Decl | Def | Rewrite) -> None:
 
 def _check_rewrite(env: GlobalEnv, rule: Rewrite) -> None:
     rule.lhs.validate()
-    head = env.lookup(rule.lhs.head)
-    if not isinstance(head, Decl):
-        raise IllFormedPatternError(f"pattern head {rule.lhs.head} must be a declared constant")
-    metas = rule.lhs.metavars()
-    types: list[Optional[Term]] = [None] * len(metas)
-    lhs_ty = _type_pattern(env, rule.lhs, types)
-    ctx: Ctx = tuple((m.hint, types[m.index], None) for m in sorted(metas, key=lambda m: m.index))  # type: ignore[misc]
+    ctx, lhs_ty = rule_context(env, rule.lhs)
     rhs_ty = infer(env, rule.rhs, ctx)
     if not convert(env, rhs_ty, lhs_ty, ctx):
         raise TypeCheckError(
@@ -404,6 +399,15 @@ def _check_rewrite(env: GlobalEnv, rule: Rewrite) -> None:
             f"rewrite {rule.name}: sides have types {fold_display(lhs_ty, env)}"
             f" and {fold_display(rhs_ty, env)}",
         )
+
+
+def rule_context(env: GlobalEnv, pattern: Pattern) -> tuple[Ctx, Term]:
+    """The context of a rule's metavariables, in index order so that
+    metavariable ``i`` is ``Var(i)`` in it, and the type of the pattern."""
+    metas = sorted(pattern.metavars(), key=lambda m: m.index)
+    types: list[Optional[Term]] = [None] * len(metas)
+    lhs_ty = _type_pattern(env, pattern, types)
+    return tuple((m.hint, types[m.index], None) for m in metas), lhs_ty  # type: ignore[misc]
 
 
 def _type_pattern(env: GlobalEnv, pattern: Pattern, types: list[Optional[Term]]) -> Term:

@@ -150,6 +150,24 @@ def test_system_override_keeps_axiom_and_rule_directives(tmp_path, capsys):
     assert capsys.readouterr().out == "idU\n"
 
 
+def test_poly_erasure_types_rule_metavariables_by_index(tmp_path, capsys):
+    # The pattern numbers its metavariables last argument first ($k is 0,
+    # $h is 1), so a context in appearance order would give $h the type K.
+    f = tmp_path / "rule.pts"
+    f.write_text(
+        "system lambda-u-minus.\nconst K : #.\nconst c : K.\n"
+        "const f : (Pi (X : #) -> X -> X) -> K -> K.\n"
+        "const id : Pi (X : #) -> X -> X.\n"
+        "rewrite r : f $h $k => $h K $k.\n"
+        "def t : K := f id c.\n",
+        encoding="utf-8",
+    )
+    assert main(["check", str(f)]) == 0
+    capsys.readouterr()
+    assert main(["trace", str(f), "t", "--steps", "3", "--erase", "poly"]) == 0
+    assert capsys.readouterr().out == "t\nf id c\nid c\n"
+
+
 def test_check_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.pts"
     empty.write_text("-- nothing here\n", encoding="utf-8")

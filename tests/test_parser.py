@@ -174,3 +174,17 @@ def test_rewrite_pattern_errors_report_the_directive_position(rule, message):
     report = run_program(src)
     assert isinstance(report.error, ParseError)
     assert report.lines[-1].text == f"rewrite r: 5:3: {message}"
+
+
+@pytest.mark.parametrize(
+    "src, kind",
+    [
+        ("system lambda-hol.\nconst A : .\n", "ParseError"),
+        ("system lambda-hol.\nconst A : *.\nconst A : *.\n", "DuplicateName"),
+        ("system lambda-hol.\nconst A : *.\nrewrite r : A $x => $x.\n", "IllFormedPattern"),
+    ],
+    ids=["parse", "duplicate", "pattern"],
+)
+def test_every_failure_reports_a_kind(src, kind):
+    report = run_program(src)
+    assert report.error is not None and report.error.kind == kind

@@ -2,7 +2,6 @@ import random
 
 from hypothesis import given, strategies as st
 
-from pts_kernel.env import instantiate
 from pts_kernel.terms import (
     App,
     BOX_T,
@@ -15,6 +14,7 @@ from pts_kernel.terms import (
     Var,
     alpha_eq,
     app,
+    instantiate,
     shift,
     spine,
     subst,
