@@ -12,7 +12,8 @@ from .terms import HOLE, App, Const, Lam, Let, Pi, SortT, Term, Var, subst
 
 @dataclass(frozen=True)
 class MetaArg:
-    """Pattern metavariable; ``index`` is its position in appearance order."""
+    """Pattern metavariable; the rule's right-hand side reads metavariable
+    ``index`` as ``Var(index)``.  The parser numbers them last argument first."""
 
     index: int
     hint: str
@@ -27,13 +28,14 @@ class Pattern:
     args: tuple[Union[MetaArg, "Pattern"], ...] = ()
 
     def metavars(self) -> list[MetaArg]:
+        """The metavariables, in index order."""
         out: list[MetaArg] = []
         for a in self.args:
             if isinstance(a, MetaArg):
                 out.append(a)
             else:
                 out.extend(a.metavars())
-        return out
+        return sorted(out, key=lambda m: m.index)
 
     def validate(self) -> None:
         seen = set()

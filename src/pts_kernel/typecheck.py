@@ -404,7 +404,7 @@ def _check_rewrite(env: GlobalEnv, rule: Rewrite) -> None:
 def rule_context(env: GlobalEnv, pattern: Pattern) -> tuple[Ctx, Term]:
     """The context of a rule's metavariables, in index order so that
     metavariable ``i`` is ``Var(i)`` in it, and the type of the pattern."""
-    metas = sorted(pattern.metavars(), key=lambda m: m.index)
+    metas = pattern.metavars()
     types: list[Optional[Term]] = [None] * len(metas)
     lhs_ty = _type_pattern(env, pattern, types)
     return tuple((m.hint, types[m.index], None) for m in metas), lhs_ty  # type: ignore[misc]

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from pts_kernel.corpus import BUNDLE_IDS, get_bundle, render_bundle
+from pts_kernel.cli import run_program
+from pts_kernel.corpus import BUNDLE_IDS, ParadoxBundle, get_bundle, render_bundle
 from pts_kernel.env import Decl, Def, Rewrite, add_entry, unfold_all
 from pts_kernel.parser import elaborate, parse_term_surface
 from pts_kernel.reduce import REWRITE_FIRE, head_def_step, trace
@@ -88,8 +89,6 @@ def test_checked_in_files_match_builders(all_bundles):
 
 
 def test_files_rebuild_identical_environments(all_bundles):
-    from pts_kernel.cli import run_program
-
     for bundle in all_bundles:
         src = render_bundle(bundle)
         env = run_program(src).env
@@ -106,6 +105,18 @@ def test_files_rebuild_identical_environments(all_bundles):
                 assert alpha_eq(
                     unfold_all(env, rebuilt.body), unfold_all(bundle.env, original.body)
                 )
+
+
+def test_rendered_rule_names_metavariables_by_index():
+    # The parser numbers $k 0 and $h 1, so naming them in appearance order
+    # would print the right-hand side as `$k K $h`.
+    src = (
+        "system lambda-u-minus.\nconst K : #.\n"
+        "const f : (Pi (X : #) -> X -> X) -> K -> K.\n"
+        "rewrite r : f $h $k => $h K $k.\n"
+    )
+    bundle = ParadoxBundle("rule", "lambda-u-minus", run_program(src).env, {}, {})
+    assert "rewrite r : f $h $k => $h K $k." in render_bundle(bundle).splitlines()
 
 
 def test_bundle_registry_is_complete():
