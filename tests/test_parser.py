@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from pts_kernel.cli import run_program
@@ -23,6 +26,88 @@ def test_comments_and_hyphenated_names():
         "lambda-u-minus",
         ".",
     ]
+
+
+def _tokens(src):
+    return [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
+
+
+# sha256 of one "kind text line:col" line per token of each corpus file.
+CORPUS_TOKEN_DIGESTS = {
+    "hurkens-b-match1.pts": (582, "96458da63e7d0b27f7906bd3ed6951c4b7540abeda40c4cb7f6b362360e6340a"),
+    "hurkens-b-match2.pts": (578, "fec71ddae6867411dd2e88e2de17384866b4cc29caa167055ac4de623a321d5d"),
+    "refined-axiomatic.pts": (461, "27c23dfe60bbb18411aec2263b76fbe68dd2122d1ac61f2abe622a2178f36afc"),
+    "reynolds-a.pts": (581, "5072c710326b65a15e9d810ae7c86495a99db1363d2999502441f167d17f5f9d"),
+    "simple.pts": (258, "1c6c9dce52648f610a272b51adba0b2f6d9f98d43294913e25a6b9cf0f22c872"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_TOKEN_DIGESTS))
+def test_corpus_tokens_are_pinned(name):
+    src = (Path(__file__).resolve().parent.parent / "corpus" / name).read_text(encoding="utf-8")
+    lines = "\n".join(f"{k} {text} {line}:{col}" for k, text, line, col in _tokens(src))
+    count, digest = CORPUS_TOKEN_DIGESTS[name]
+    assert (len(lines.splitlines()), hashlib.sha256(lines.encode()).hexdigest()) == (count, digest)
+
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        (
+            "system lambda-u-minus.",
+            [("kw", "system", 1, 1), ("name", "lambda-u-minus", 1, 8), ("punct", ".", 1, 22),
+             ("eof", "", 1, 23)],
+        ),
+        # `--` starts a comment even inside a name; `->` ends one.
+        ("a--b", [("name", "a", 1, 1), ("eof", "", 1, 2)]),
+        (
+            "x->y",
+            [("name", "x", 1, 1), ("punct", "->", 1, 2), ("name", "y", 1, 4), ("eof", "", 1, 5)],
+        ),
+        # Subscript digits are name characters; alone they make a number.
+        (
+            "x₀ ₀ h₁₂ 12",
+            [("name", "x₀", 1, 1), ("number", "₀", 1, 4), ("name", "h₁₂", 1, 6),
+             ("number", "12", 1, 10), ("eof", "", 1, 12)],
+        ),
+        (
+            "const c : *.\r\ndef d : ## := $u'.\r\n",
+            [("kw", "const", 1, 1), ("name", "c", 1, 7), ("punct", ":", 1, 9), ("sort", "*", 1, 11),
+             ("punct", ".", 1, 12), ("kw", "def", 2, 1), ("name", "d", 2, 5), ("punct", ":", 2, 7),
+             ("sort", "##", 2, 9), ("punct", ":=", 2, 12), ("meta", "u'", 2, 15),
+             ("punct", ".", 2, 18), ("eof", "", 3, 1)],
+        ),
+        # A comment does not advance the column, so with no final newline the
+        # eof token sits where the comment starts.
+        (
+            "check a. -- done",
+            [("kw", "check", 1, 1), ("name", "a", 1, 7), ("punct", ".", 1, 8), ("eof", "", 1, 10)],
+        ),
+        (
+            "f∘g (⊥ ¬)",
+            [("name", "f", 1, 1), ("punct", "∘", 1, 2), ("name", "g", 1, 3), ("punct", "(", 1, 5),
+             ("name", "⊥", 1, 6), ("name", "¬", 1, 8), ("punct", ")", 1, 9), ("eof", "", 1, 10)],
+        ),
+    ],
+)
+def test_exact_tokens(src, expected):
+    assert _tokens(src) == expected
+
+
+@pytest.mark.parametrize(
+    "src, message, line, column",
+    [
+        ("rewrite r : f $ => a.", "empty metavariable name", 1, 15),
+        ("a\n  $-b", "empty metavariable name", 2, 3),
+        ("a-", "unexpected character '-'", 1, 2),
+        ("def a :\n b = c.", "unexpected character '='", 2, 4),
+        ("x ; y", "unexpected character ';'", 1, 3),
+    ],
+)
+def test_tokenize_errors(src, message, line, column):
+    with pytest.raises(ParseError) as err:
+        tokenize(src)
+    assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
 
 
 def test_parse_error_has_location():
