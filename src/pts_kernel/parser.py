@@ -18,8 +18,9 @@ Directives end with a period: ``system``, ``axiom``, ``rule``, ``const``,
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .env import GlobalEnv, MetaArg, Pattern, Rewrite
 from .errors import ParseError, TypeCheckError
@@ -29,93 +30,50 @@ from .typecheck import Ctx, infer, push, rule_context, whnf
 KEYWORDS = frozenset(
     "fun forall Pi let in const def rewrite check conv trace system axiom rule".split()
 )
-_PUNCT = ("(", ")", ":=", "=>", "->", ":", ",", ".", "∘")
-_EXTRA_IDENT = frozenset("_'⊥¬")  # underscore, prime, ⊥, ¬
+_IDENT = r"[\w'⊥¬]"  # \w is str.isalnum() plus underscore
+# One alternative per token class, tried in order; `--` wins over `->`, and an
+# interior hyphen joins name parts (system names) only before a name character.
+_TOKEN = re.compile(
+    rf"(?P<space>\s+)|(?P<comment>--[^\n]*)|(?P<sort>##|[*#])|(?P<punct>:=|=>|->|[():,.∘])"
+    rf"|\$(?P<meta>{_IDENT}*)|(?P<name>{_IDENT}+(?:-{_IDENT}+)*)|(?P<bad>.)",
+    re.S,
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # name | meta | number | sort | punct | kw | eof
     text: str
     line: int
     col: int
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _EXTRA_IDENT
-
-
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, col = 1, 1
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        text = m[kind]
+        if kind == "space":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                col = len(text) - text.rindex("\n")
+            else:
+                col += len(text)
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if src.startswith("##", i):
-            toks.append(Token("sort", "##", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "*#":
-            toks.append(Token("sort", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        two = src[i : i + 2]
-        if two in (":=", "=>", "->"):
-            toks.append(Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "():,.∘":
-            toks.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "$":
-            j = i + 1
-            while j < n and _is_ident_char(src[j]):
-                j += 1
-            if j == i + 1:
-                raise ParseError("empty metavariable name", line, col)
-            toks.append(Token("meta", src[i + 1 : j], line, col))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_char(ch):
-            j = i
-            while j < n:
-                if _is_ident_char(src[j]):
-                    j += 1
-                elif src[j] == "-" and j + 1 < n and _is_ident_char(src[j + 1]):
-                    j += 2  # interior hyphen (system names); -> and -- still break
-                else:
-                    break
-            text = src[i:j]
+        if kind == "comment":
+            continue  # runs to the newline; the column is left where it starts
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        if kind == "meta" and not text:
+            raise ParseError("empty metavariable name", line, col)
+        if kind == "name":
             if text.isdigit():
                 kind = "number"
             elif text in KEYWORDS:
                 kind = "kw"
-            else:
-                kind = "name"
-            toks.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+        toks.append(Token(kind, text, line, col))
+        col += m.end() - m.start()
     toks.append(Token("eof", "", line, col))
     return toks
 
