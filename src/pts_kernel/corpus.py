@@ -1,10 +1,11 @@
-"""Machine-checked paradox corpus.
+"""Machine-checked paradox corpus, and the runner of development files.
 
-Each bundle packages an environment over one of the stock systems, its
-distinguished terms with their expected types, conversion goals that must hold
-judgmentally, and pinned head-reduction traces.  The programmatic builders
-here are the source of truth; the files under ``corpus/`` are rendered from
-them (see ``write_corpus_files``) and golden-tested against this module.
+The files under ``corpus/`` are the corpus.  ``get_bundle`` runs
+``corpus/<id>.pts`` through ``run_program``, the one interpreter of
+directives, and packages what it built: the environment, the file's
+``check`` judgment as the key term ``bottomProof`` with its expected type
+``⊥``, the file's ``conv`` judgments as conversion goals, and the pinned
+head-reduction traces below.
 
 The two axiomatic bundles postulate a carrier with resp. a retract equation
 and a twisted retract equation as a rewrite rule; the three impredicative
@@ -16,185 +17,192 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Optional
 
-from .display import fold_display
-from .env import Decl, Def, GlobalEnv, MetaArg, Pattern, add_entry
-from .parser import build_rewrite, elaborate, parse_term_surface
-from .specs import LAMBDA_HOL, LAMBDA_U_MINUS, PRESETS
-from .terms import Term
+from .display import fold_display, raw_display
+from .env import Decl, Def, GlobalEnv, add_entry
+from .errors import KernelError, ParseError
+from .parser import Directive, build_rewrite, elaborate, parse_program
+from .reduce import HEAD_DEF, trace
+from .specs import PRESETS, PtsSpec, empty_custom, with_axiom, with_rule
+from .terms import SORT_BY_TOKEN, Term
+from .typecheck import check, convert
 
-BOT = "⊥"
-NEG = "¬"
-DELTA = "δ"
-IOTA = "ι"
-P0 = "p₀"
-X0 = "X₀"
-LOW_X0 = "x₀"
-S1 = "s₁"
-S2 = "s₂"
-L0 = "l₀"
-L1 = "l₁"
-L2 = "l₂"
-COMP = "∘"
-
-_PRELUDE = [
-    ("def", BOT, "*", "forall (p : *), p"),
-    ("def", NEG, "* -> *", f"fun (p : *) => p -> {BOT}"),
-    ("def", "Pow", "# -> #", "fun (X : #) => X -> *"),
-    ("def", "T", "# -> #", "fun (X : #) => Pow (Pow X)"),
-]
-
-_TMAP = (
-    "def",
-    "Tmap",
-    "Pi (X : #) -> Pi (Y : #) -> (X -> Y) -> T X -> T Y",
-    "fun (X : #) (Y : #) (f : X -> Y) (F : T X) (q : Pow Y) => F (fun (x : X) => q (f x))",
-)
+# --------------------------------------------------------------------------
+# Development files
 
 
-def _refined_tail(c: str) -> list[tuple]:
-    """The refined-paradox definitions over a carrier ``c`` equipped with
-    intro/match and the twisted retract conversion."""
-    return [
-        (
-            "def",
-            P0,
-            f"Pow {c}",
-            f"fun (x : {c}) => forall (p : Pow {c}), p ({DELTA} x) -> {NEG} (match x p)",
-        ),
-        (
-            "def",
-            X0,
-            f"T {c}",
-            f"fun (p : Pow {c}) => forall (x : {c}), p x -> {NEG} (match x p)",
-        ),
-        ("def", LOW_X0, c, f"intro {X0}"),
-        (
-            "def",
-            S1,
-            f"forall (x : {c}), {P0} x -> {P0} ({DELTA} x)",
-            f"fun (x : {c}) (h : {P0} x) (p : Pow {c}) => h (p{COMP}{DELTA})",
-        ),
-        (
-            "def",
-            S2,
-            f"forall (p : Pow {c}), {X0} p -> {X0} (p{COMP}{DELTA})",
-            f"fun (p : Pow {c}) (h : {X0} p) (x : {c}) => h ({DELTA} x)",
-        ),
-        (
-            "def",
-            L0,
-            f"forall (p : Pow {c}), p {LOW_X0} -> {NEG} ({X0} p)",
-            f"fun (p : Pow {c}) (h : p {LOW_X0}) (h₀ : {X0} p) => h₀ {LOW_X0} h ({S2} p h₀)",
-        ),
-        ("def", L1, f"{X0} {P0}", f"fun (x : {c}) (h : {P0} x) => h {P0} ({S1} x h)"),
-        ("def", L2, f"{P0} {LOW_X0}", f"fun (p : Pow {c}) => {L0} (p{COMP}{DELTA})"),
-    ]
+@dataclass
+class ReportLine:
+    """One judgment of a report.  ``parts`` are strings and terms; the terms
+    are rendered by ``show`` against ``env``, the environment of the line's
+    directive, when the text is first read."""
+
+    ok: bool
+    parts: tuple
+    env: Optional[GlobalEnv] = None
+    show: Optional[Callable[[Term, GlobalEnv], str]] = None
+
+    @property
+    def text(self) -> str:
+        if self.env is not None:
+            show, env = self.show, self.env
+            self.parts = tuple(p if isinstance(p, str) else show(p, env) for p in self.parts)
+            self.env = None
+        return "".join(self.parts)
 
 
-_SIMPLE_ROWS = _PRELUDE + [
-    ("const", "A", "#"),
-    ("const", "intro", "T A -> A"),
-    ("const", "match", "A -> T A"),
-    ("rewrite", "retract", "match (intro $u)", "$u"),
-    (
-        "def",
-        "C",
-        "Pow A -> Pow A",
-        f"fun (p : Pow A) (x : A) => p x -> {NEG} (match x p)",
-    ),
-    ("def", P0, "Pow A", "fun (x : A) => forall (p : Pow A), C p x"),
-    ("def", X0, "T A", "fun (p : Pow A) => forall (x : A), C p x"),
-    ("def", LOW_X0, "A", f"intro {X0}"),
-    ("def", L1, f"{X0} {P0}", f"fun (x : A) (h : {P0} x) => h {P0} h"),
-    (
-        "def",
-        L2,
-        f"{P0} {LOW_X0}",
-        f"fun (p : Pow A) (h : p {LOW_X0}) (h₁ : match {LOW_X0} p) => h₁ {LOW_X0} h h₁",
-    ),
-]
+@dataclass
+class Report:
+    lines: list[ReportLine] = field(default_factory=list)
+    error: Optional[KernelError] = None
+    failed_entry: Optional[str] = None
+    env: Optional[GlobalEnv] = None  # the environment built, once every directive passed
+    judgments: list[tuple[str, Term, Term]] = field(default_factory=list)  # passed check/conv
 
-_REFINED_ROWS = (
-    _PRELUDE
-    + [_TMAP]
-    + [
-        ("const", "A", "#"),
-        ("const", "intro", "T A -> A"),
-        ("const", "match", "A -> T A"),
-        ("def", DELTA, "A -> A", f"intro{COMP}match"),
-        ("rewrite", "retract", "match (intro $u)", f"Tmap A A {DELTA} $u"),
-    ]
-    + _refined_tail("A")
-)
+    @property
+    def ok(self) -> bool:
+        return self.error is None and all(line.ok for line in self.lines)
 
-_REYNOLDS_ROWS = (
-    _PRELUDE
-    + [_TMAP]
-    + [
-        ("def", "A", "#", "Pi (X : #) -> (T X -> X) -> X"),
-        (
-            "def",
-            IOTA,
-            "Pi (X : #) -> (T X -> X) -> A -> X",
-            "fun (X : #) (f : T X -> X) (a : A) => a X f",
-        ),
-        (
-            "def",
-            "intro",
-            "T A -> A",
-            f"fun (u : T A) (X : #) (f : T X -> X) => f (Tmap A X ({IOTA} X f) u)",
-        ),
-        ("def", "match", "A -> T A", f"{IOTA} (T A) (Tmap (T A) A intro)"),
-        ("def", DELTA, "A -> A", f"intro{COMP}match"),
-    ]
-    + _refined_tail("A")
-)
+    def render(self) -> str:
+        return "\n".join(("ok    " if l.ok else "FAIL  ") + l.text for l in self.lines)
 
 
-def _hurkens_rows(variant: str) -> list[tuple]:
-    if variant == "match1":
-        match_row = ("def", "match", "B -> T B", f"{IOTA} (T B) (Tmap (T B) B intro)")
-    else:
-        match_row = ("def", "match", "B -> T B", "fun (b : B) => b B intro")
-    return (
-        _PRELUDE
-        + [_TMAP]
-        + [
-            ("def", "B", "#", "Pi (X : #) -> (T X -> X) -> T X"),
-            (
-                "def",
-                IOTA,
-                "Pi (X : #) -> (T X -> X) -> B -> X",
-                "fun (X : #) (f : T X -> X) (b : B) => f (b X f)",
-            ),
-            (
-                "def",
-                "intro",
-                "T B -> B",
-                f"fun (v : T B) (X : #) (f : T X -> X) => Tmap B X ({IOTA} X f) v",
-            ),
-            match_row,
-            ("def", DELTA, "B -> B", f"intro{COMP}match"),
-        ]
-        + _refined_tail("B")
-    )
+def run_program(src: str, system_override: Optional[str] = None, raw: bool = False) -> Report:
+    """Execute a development file: build the environment, run its directives.
+
+    Stops at the first failing directive; the report records every judgment
+    with folded displays (or fully unfolded ones when ``raw`` is set),
+    rendered when the report is, each against the environment its directive
+    ran in.  Those environments are views of one entry table, so keeping
+    them costs a reference per line.  A ``system_override`` replaces only
+    the ``system`` header: ``axiom`` and ``rule`` directives still extend the
+    chosen signature.
+    """
+    report = Report()
+    try:
+        directives = parse_program(src)
+    except ParseError as err:
+        report.error = err
+        report.lines.append(ReportLine(False, (f"parse error: {err}",)))
+        return report
+
+    spec = PRESETS[system_override] if system_override else None
+    env = GlobalEnv(spec if spec is not None else PRESETS["lambda-hol"])
+    started = False
+
+    def say(ok: bool, *parts: object, show: Optional[Callable] = None) -> None:
+        show = show or (raw_display if raw else fold_display)
+        report.lines.append(ReportLine(ok, parts, env, show))
+
+    for d in directives:
+        try:
+            if d.kind in ("system", "axiom", "rule"):
+                if started:
+                    raise ParseError(
+                        f"{d.kind} directives must precede entries", d.line, d.col
+                    )
+                if d.kind == "system":
+                    chosen = _resolve_system(d)
+                    if spec is None:
+                        env = env.with_spec(chosen)
+                        say(True, f"system {chosen.name}")
+                    else:
+                        say(True, f"system {d.name} (overridden: {spec.name})")
+                elif d.kind == "axiom":
+                    s1, s2 = (SORT_BY_TOKEN[s] for s in d.parts)
+                    env = env.with_spec(with_axiom(env.spec, s1, s2))
+                    say(True, f"axiom {d.parts[0]} : {d.parts[1]}")
+                else:
+                    s1, s2, s3 = (SORT_BY_TOKEN[s] for s in d.parts)
+                    env = env.with_spec(with_rule(env.spec, s1, s2, s3))
+                    say(True, f"rule {d.parts[0]} {d.parts[1]} : {d.parts[2]}")
+                continue
+            started = True
+            if d.kind == "const":
+                ty = elaborate(d.parts[0], env)
+                env = add_entry(env, Decl(d.name, ty))
+                say(True, f"const {d.name} : ", ty)
+            elif d.kind == "def":
+                ty = elaborate(d.parts[0], env)
+                body = elaborate(d.parts[1], env)
+                env = add_entry(env, Def(d.name, ty, body))
+                say(True, f"def {d.name} : ", ty)
+            elif d.kind == "rewrite":
+                rule = build_rewrite(env, d.name, d.parts[0], d.parts[1], d.line, d.col)
+                env = add_entry(env, rule)
+                say(True, f"rewrite {d.name}")
+            elif d.kind == "check":
+                t = elaborate(d.parts[0], env)
+                ty = elaborate(d.parts[1], env)
+                check(env, t, ty)
+                report.judgments.append(("check", t, ty))
+                say(True, "check ", t, " : ", ty)
+            elif d.kind == "conv":
+                a = elaborate(d.parts[0], env)
+                b = elaborate(d.parts[1], env)
+                if convert(env, a, b):
+                    report.judgments.append(("conv", a, b))
+                    say(True, "conv ", a, " == ", b)
+                else:
+                    say(False, "conv ", a, " =/= ", b)
+                    report.failed_entry = "conv"
+                    return report
+            elif d.kind == "trace":
+                t = elaborate(d.parts[0], env)
+                tr = trace(env, t, HEAD_DEF, d.parts[1])
+                say(True, "trace ", t, f" [{tr.stopped}]")
+                rows = lambda row, _env, show=tr.show: show(row)  # folded even in a raw report
+                for row in [tr.start] + [s.raw for s in tr.steps]:
+                    say(True, "  ", row, show=rows)
+        except KernelError as err:
+            report.error = err
+            report.failed_entry = d.name or d.kind
+            say(False, f"{d.kind} {d.name or ''}: {err}".strip())
+            return report
+    report.env = env
+    return report
 
 
-SIMPLE_GOLDEN_HEAD_DEF = [
-    f"{L2} {P0} {L2} {L1}",
-    f"{L1} {LOW_X0} {L2} {L1}",
-    f"{L2} {P0} {L2} {L1}",
-]
+def _resolve_system(d: Directive) -> PtsSpec:
+    if d.name in PRESETS:
+        return PRESETS[d.name]
+    if d.name == "custom":
+        return empty_custom()
+    raise ParseError(f"unknown system {d.name!r}", d.line, d.col)
+
+
+def run_file(path: str | Path, system_override: Optional[str] = None) -> Report:
+    """``run_program`` on a file; a ``KernelError`` unless every directive passed."""
+    report = run_program(Path(path).read_text(encoding="utf-8"), system_override)
+    if not report.ok:
+        raise KernelError(f"cannot load {path}:\n{report.render()}")
+    return report
+
+
+# --------------------------------------------------------------------------
+# Bundles
+
+BUNDLE_IDS = ("simple", "refined-axiomatic", "reynolds-A", "hurkens-B-match1", "hurkens-B-match2")
+# The files sit at the repository root, next to ``src/``; an installed wheel
+# does not carry them.
+CORPUS_DIR = Path(__file__).resolve().parents[2] / "corpus"
+
+SIMPLE_GOLDEN_HEAD_DEF = ["l₂ p₀ l₂ l₁", "l₁ x₀ l₂ l₁", "l₂ p₀ l₂ l₁"]
 
 REFINED_GOLDEN_HEAD_DEF = [
-    f"{L0} {P0} {L2} {L1}",
-    f"{L1} {LOW_X0} {L2} ({S2} {P0} {L1})",
-    f"{L2} {P0} ({S1} {LOW_X0} {L2}) ({S2} {P0} {L1})",
-    f"{L0} ({P0}{COMP}{DELTA}) ({S1} {LOW_X0} {L2}) ({S2} {P0} {L1})",
-    f"{S2} {P0} {L1} {LOW_X0} ({S1} {LOW_X0} {L2}) ({S2} ({P0}{COMP}{DELTA}) ({S2} {P0} {L1}))",
-    f"{L1} ({DELTA} {LOW_X0}) ({S1} {LOW_X0} {L2}) ({S2} ({P0}{COMP}{DELTA}) ({S2} {P0} {L1}))",
+    "l₀ p₀ l₂ l₁",
+    "l₁ x₀ l₂ (s₂ p₀ l₁)",
+    "l₂ p₀ (s₁ x₀ l₂) (s₂ p₀ l₁)",
+    "l₀ (p₀∘δ) (s₁ x₀ l₂) (s₂ p₀ l₁)",
+    "s₂ p₀ l₁ x₀ (s₁ x₀ l₂) (s₂ (p₀∘δ) (s₂ p₀ l₁))",
+    "l₁ (δ x₀) (s₁ x₀ l₂) (s₂ (p₀∘δ) (s₂ p₀ l₁))",
 ]
+
+_GOLDEN = {
+    "simple": {"head-def": SIMPLE_GOLDEN_HEAD_DEF},
+    "refined-axiomatic": {"head-def": REFINED_GOLDEN_HEAD_DEF},
+}
 
 
 @dataclass
@@ -205,177 +213,29 @@ class ParadoxBundle:
     key_terms: dict[str, Term]
     expected_types: dict[str, Term]
     golden_traces: dict[str, list[str]] = field(default_factory=dict)
-    conv_goals: list[tuple[str, str]] = field(default_factory=list)
-    rows: list[tuple] = field(default_factory=list)
+    conv_goals: list[tuple[Term, Term]] = field(default_factory=list)
 
 
-def _build_env(preset_name: str, rows: list[tuple]) -> GlobalEnv:
-    env = GlobalEnv(PRESETS[preset_name])
-    for row in rows:
-        kind, name = row[0], row[1]
-        if kind == "const":
-            ty = elaborate(parse_term_surface(row[2]), env)
-            env = add_entry(env, Decl(name, ty))
-        elif kind == "def":
-            ty = elaborate(parse_term_surface(row[2]), env)
-            body = elaborate(parse_term_surface(row[3]), env)
-            env = add_entry(env, Def(name, ty, body))
-        else:
-            rule = build_rewrite(
-                env, name, parse_term_surface(row[2]), parse_term_surface(row[3])
-            )
-            env = add_entry(env, rule)
-    return env
-
-
-def _bundle(
-    id: str,
-    preset_name: str,
-    rows: list[tuple],
-    bottom_proof_src: str,
-    golden: dict[str, list[str]],
-    conv_goals: list[tuple[str, str]],
-) -> ParadoxBundle:
-    env = _build_env(preset_name, rows)
-    bottom = elaborate(parse_term_surface(bottom_proof_src), env)
-    expected = elaborate(parse_term_surface(BOT), env)
-    return ParadoxBundle(
-        id=id,
-        preset_name=preset_name,
-        env=env,
-        key_terms={"bottomProof": bottom},
-        expected_types={"bottomProof": expected},
-        golden_traces=golden,
-        conv_goals=conv_goals,
-        rows=rows,
-    )
-
-
-def build_simple() -> ParadoxBundle:
-    return _bundle(
-        "simple",
-        LAMBDA_HOL.name,
-        _SIMPLE_ROWS,
-        f"{L2} {P0} {L2} {L1}",
-        {"head-def": SIMPLE_GOLDEN_HEAD_DEF},
-        [],
-    )
-
-
-def build_refined_axiomatic() -> ParadoxBundle:
-    return _bundle(
-        "refined-axiomatic",
-        LAMBDA_HOL.name,
-        _REFINED_ROWS,
-        f"{L0} {P0} {L2} {L1}",
-        {"head-def": REFINED_GOLDEN_HEAD_DEF},
-        [],
-    )
-
-
-def build_reynolds_a() -> ParadoxBundle:
-    goals = [(f"match{COMP}intro", f"Tmap A A (intro{COMP}match)")]
-    return _bundle(
-        "reynolds-A", LAMBDA_U_MINUS.name, _REYNOLDS_ROWS, f"{L0} {P0} {L2} {L1}", {}, goals
-    )
-
-
-def build_hurkens_b(variant: str) -> ParadoxBundle:
-    goals = [(f"match{COMP}intro", f"Tmap B B (intro{COMP}match)")]
-    return _bundle(
-        f"hurkens-B-{variant}",
-        LAMBDA_U_MINUS.name,
-        _hurkens_rows(variant),
-        f"{L0} {P0} {L2} {L1}",
-        {},
-        goals,
-    )
-
-
-_BUILDERS = {
-    "simple": build_simple,
-    "refined-axiomatic": build_refined_axiomatic,
-    "reynolds-A": build_reynolds_a,
-    "hurkens-B-match1": lambda: build_hurkens_b("match1"),
-    "hurkens-B-match2": lambda: build_hurkens_b("match2"),
-}
-
-BUNDLE_IDS = tuple(_BUILDERS)
 _CACHE: dict[str, ParadoxBundle] = {}
 
 
 def get_bundle(id: str) -> ParadoxBundle:
-    if id not in _BUILDERS:
+    if id not in BUNDLE_IDS:
         raise KeyError(f"unknown bundle {id!r}")
     if id not in _CACHE:
-        _CACHE[id] = _BUILDERS[id]()
-    return _CACHE[id]
-
-
-# --------------------------------------------------------------------------
-# File rendering
-
-
-def _render_pattern(p: Pattern) -> str:
-    parts = [p.head]
-    for a in p.args:
-        if isinstance(a, MetaArg):
-            parts.append(f"${a.hint}")
-        else:
-            parts.append(f"({_render_pattern(a)})" if a.args else a.head)
-    return " ".join(parts)
-
-
-def render_bundle(bundle: ParadoxBundle) -> str:
-    """Canonical source file for a bundle.
-
-    Each entry is printed against the environment prefix that precedes it, so
-    displays never fold into names defined later.
-    """
-    lines = [
-        f"-- {bundle.id}: generated from the programmatic corpus builder; do not edit.",
-        f"system {bundle.preset_name}.",
-        "",
-    ]
-    prefix = GlobalEnv(bundle.env.spec)
-    for entry in bundle.env.entries:
-        if isinstance(entry, Decl):
-            lines.append(f"const {entry.name} : {fold_display(entry.type, prefix)}.")
-        elif isinstance(entry, Def):
-            ty = fold_display(entry.type, prefix)
-            body = fold_display(entry.body, prefix)
-            lines.append(f"def {entry.name} : {ty} := {body}.")
-        else:
-            metas = entry.lhs.metavars()
-            scope = [f"${m.hint}" for m in metas]
-            rhs = fold_display(entry.rhs, prefix, scope=scope)
-            lines.append(f"rewrite {entry.name} : {_render_pattern(entry.lhs)} => {rhs}.")
-        prefix = prefix.extended(entry)
-    lines.append("")
-    for name, term in bundle.key_terms.items():
-        expected = bundle.expected_types[name]
-        lines.append(
-            f"check {fold_display(term, bundle.env)} : {fold_display(expected, bundle.env)}."
+        path = CORPUS_DIR / f"{id.lower()}.pts"
+        report = run_file(path)
+        checks = [(t, ty) for kind, t, ty in report.judgments if kind == "check"]
+        if len(checks) != 1:
+            raise KernelError(f"{path} holds {len(checks)} check directives, not 1")
+        [(bottom, bottom_type)] = checks
+        _CACHE[id] = ParadoxBundle(
+            id=id,
+            preset_name=report.env.spec.name,
+            env=report.env,
+            key_terms={"bottomProof": bottom},
+            expected_types={"bottomProof": bottom_type},
+            golden_traces=_GOLDEN.get(id, {}),
+            conv_goals=[(a, b) for kind, a, b in report.judgments if kind == "conv"],
         )
-    for a, b in bundle.conv_goals:
-        lines.append(f"conv ({a}) ({b}).")
-    return "\n".join(lines) + "\n"
-
-
-def write_corpus_files(directory: str | Path) -> list[Path]:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for id in BUNDLE_IDS:
-        path = directory / f"{id.lower()}.pts"
-        path.write_text(render_bundle(get_bundle(id)), encoding="utf-8")
-        written.append(path)
-    return written
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    target = sys.argv[1] if len(sys.argv) > 1 else "corpus"
-    for path in write_corpus_files(target):
-        print(path)
+    return _CACHE[id]

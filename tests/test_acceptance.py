@@ -15,13 +15,12 @@ import pytest
 from naive_reducer import is_subsequence, naive_states
 
 from pts_kernel.corpus import (
+    CORPUS_DIR,
     REFINED_GOLDEN_HEAD_DEF,
     SIMPLE_GOLDEN_HEAD_DEF,
-    _build_env,
     get_bundle,
 )
 from pts_kernel.cli import main, run_program
-from pts_kernel.corpus import render_bundle
 from pts_kernel.display import fold_display
 from pts_kernel.env import Decl, add_entry, unfold_all
 from pts_kernel.parser import elaborate, parse_term_surface
@@ -56,8 +55,9 @@ def test_criterion_1_paradoxes_typecheck():
             "hurkens-B-match2",
         ):
             cached = get_bundle(bid)
+            src = (CORPUS_DIR / f"{bid.lower()}.pts").read_text(encoding="utf-8")
             t0 = time.perf_counter()
-            env = _build_env(cached.preset_name, cached.rows)
+            env = run_program(src).env
             bottom = _term("forall (p : *), p", env)
             check(env, cached.key_terms["bottomProof"], bottom)
             elapsed = time.perf_counter() - t0
@@ -70,8 +70,9 @@ def test_criterion_2_judgmental_equalities():
             bundle = get_bundle(bid)
             env = bundle.env
             assert not any(env.rules_for(e.name) for e in env.entries)
-            for a_src, b_src in bundle.conv_goals:
-                assert convert(env, _term(a_src, env), _term(b_src, env)), (bid, a_src)
+            assert bundle.conv_goals, bid
+            for a, b in bundle.conv_goals:
+                assert convert(env, a, b), bid
             carrier = "A" if bid == "reynolds-A" else "B"
             ctx_env = add_entry(env, Decl("X", _term("#", env)))
             ctx_env = add_entry(ctx_env, Decl("f", _term("T X -> X", ctx_env)))
@@ -88,7 +89,7 @@ def test_criterion_2_judgmental_equalities():
 
 def test_criterion_3_negative_result():
     with criterion(3, "reynolds-A under lambda-hol fails with NoRule(##,#) at A"):
-        src = render_bundle(get_bundle("reynolds-A"))
+        src = (CORPUS_DIR / "reynolds-a.pts").read_text(encoding="utf-8")
         report = run_program(src, system_override="lambda-hol")
         assert not report.ok
         assert report.failed_entry == "A"

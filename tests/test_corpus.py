@@ -1,16 +1,19 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from pts_kernel.cli import run_program
-from pts_kernel.corpus import BUNDLE_IDS, ParadoxBundle, get_bundle, render_bundle
-from pts_kernel.env import Decl, Def, Rewrite, add_entry, unfold_all
+from pts_kernel import corpus
+from pts_kernel.cli import main
+from pts_kernel.corpus import BUNDLE_IDS, get_bundle
+from pts_kernel.env import Decl, Rewrite, add_entry
 from pts_kernel.parser import elaborate, parse_term_surface
 from pts_kernel.reduce import REWRITE_FIRE, head_def_step, trace
-from pts_kernel.terms import alpha_eq
 from pts_kernel.typecheck import check, convert, infer
 
-CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _term(src, env):
@@ -81,44 +84,6 @@ def test_golden_traces_reproduced(all_bundles):
             assert tr.displays == rows, bundle.id
 
 
-def test_checked_in_files_match_builders(all_bundles):
-    for bundle in all_bundles:
-        path = CORPUS_DIR / f"{bundle.id.lower()}.pts"
-        assert path.exists(), f"missing generated corpus file {path}"
-        assert path.read_text(encoding="utf-8") == render_bundle(bundle)
-
-
-def test_files_rebuild_identical_environments(all_bundles):
-    for bundle in all_bundles:
-        src = render_bundle(bundle)
-        env = run_program(src).env
-        assert env.spec.name == bundle.preset_name
-        assert len(env.entries) == len(bundle.env.entries)
-        for rebuilt, original in zip(env.entries, bundle.env.entries):
-            assert type(rebuilt) is type(original)
-            assert rebuilt.name == original.name
-            if isinstance(original, (Decl, Def)):
-                assert alpha_eq(
-                    unfold_all(env, rebuilt.type), unfold_all(bundle.env, original.type)
-                )
-            if isinstance(original, Def):
-                assert alpha_eq(
-                    unfold_all(env, rebuilt.body), unfold_all(bundle.env, original.body)
-                )
-
-
-def test_rendered_rule_names_metavariables_by_index():
-    # The parser numbers $k 0 and $h 1, so naming them in appearance order
-    # would print the right-hand side as `$k K $h`.
-    src = (
-        "system lambda-u-minus.\nconst K : #.\n"
-        "const f : (Pi (X : #) -> X -> X) -> K -> K.\n"
-        "rewrite r : f $h $k => $h K $k.\n"
-    )
-    bundle = ParadoxBundle("rule", "lambda-u-minus", run_program(src).env, {}, {})
-    assert "rewrite r : f $h $k => $h K $k." in render_bundle(bundle).splitlines()
-
-
 def test_bundle_registry_is_complete():
     assert set(BUNDLE_IDS) == {
         "simple",
@@ -131,3 +96,38 @@ def test_bundle_registry_is_complete():
         assert get_bundle(bid).id == bid
     with pytest.raises(KeyError):
         get_bundle("nope")
+
+
+def test_bundles_load_outside_the_repository(tmp_path):
+    # The corpus directory is found from the package, not from the working directory.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "pts_kernel", "loop", "simple", "bottomProof", "--bound", "10"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8",
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "found=true entry=0 period=2 (bound=10, steps=2)\n"
+
+
+SIMPLE_HEAD = (ROOT / "corpus" / "simple.pts").read_text(encoding="utf-8").split("\ncheck ")[0]
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        (None, "No such file or directory"),
+        (SIMPLE_HEAD + "\ncheck l₂ p₀ l₂ : ⊥.\n", "cannot load"),
+        (SIMPLE_HEAD + "\nconv (l₂) (l₂).\n", "holds 0 check directives, not 1"),
+    ],
+    ids=["missing", "fails-to-check", "no-check"],
+)
+def test_broken_corpus_file_is_an_error(tmp_path, monkeypatch, capsys, src, message):
+    monkeypatch.setattr(corpus, "CORPUS_DIR", tmp_path)
+    monkeypatch.setattr(corpus, "_CACHE", {})
+    if src is not None:
+        (tmp_path / "simple.pts").write_text(src, encoding="utf-8")
+    assert main(["loop", "simple", "bottomProof", "--bound", "10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

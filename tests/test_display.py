@@ -1,5 +1,7 @@
 from hypothesis import given, settings, strategies as st
 
+from test_normalizer import ENV, TYPES, terms
+
 from pts_kernel.cli import run_program
 from pts_kernel.display import (
     fold_display,
@@ -112,6 +114,18 @@ def test_fold_parse_unfold_roundtrip(all_bundles):
                 bundle.id,
                 shown,
             )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TYPES).flatmap(terms))
+def test_generated_terms_survive_print_and_parse(src):
+    # Printing is a fixed point after one round trip, and the re-parsed term
+    # means the same: equal unfoldings up to alpha.
+    t = _term(src, ENV)
+    shown = fold_display(t, ENV)
+    back = _term(shown, ENV)
+    assert fold_display(back, ENV) == shown, src
+    assert alpha_eq(unfold_all(ENV, back), unfold_all(ENV, t)), (src, shown)
 
 
 def test_raw_display_reparses_to_same_unfolding(simple):
