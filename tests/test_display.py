@@ -14,7 +14,7 @@ from pts_kernel.env import Def, GlobalEnv, unfold_all
 from pts_kernel.parser import elaborate, parse_term_surface
 from pts_kernel.reduce import trace
 from pts_kernel.specs import LAMBDA_HOL
-from pts_kernel.terms import STAR_T, App, Const, Lam, Let, Pi, Var, alpha_eq
+from pts_kernel.terms import STAR_T, App, Const, Lam, Let, Pi, Var, alpha_eq, shift
 
 
 def _term(src, env):
@@ -58,6 +58,55 @@ def test_composition_matcher_rejects_captured_sides(refined):
     env = refined.env
     t = _term("fun (p : Pow A) => p (δ x₀)", env)  # head uses the binder
     assert match_composition(t) is None
+
+
+def test_open_compositions_and_arrows_print_exactly(refined):
+    # Sides and codomains that keep dangling variables: an unnamed one prints
+    # as `?i`, numbered as if the composition's or arrow's binder were gone.
+    env = refined.env
+    A, p0, delta = Const("A"), Const("p₀"), Const("δ")
+    cases = [
+        (
+            Lam("x", A, App(Var(1, ""), App(Var(3, ""), Var(0, "x")))),
+            "?0∘?2",
+            "fun (x : A) => ?1 (?3 x)",
+        ),
+        (Pi("_", A, Var(2, "")), "A -> ?1", "A -> ?1"),
+        (
+            Lam("x", A, App(p0, App(Var(2, ""), Var(0, "x")))),
+            "p₀∘?1",
+            "fun (x : A) => p₀ (?2 x)",
+        ),
+        (
+            Lam("q", A, Lam("x", A, App(App(p0, Var(1, "q")), App(delta, Var(0, "x"))))),
+            "fun (q : A) => p₀ q∘δ",
+            "fun (q : A) => fun (x : A) => p₀ q (δ x)",
+        ),
+        (
+            Lam("x", A, App(Var(1, "g"), App(Var(2, "f"), Var(0, "x")))),
+            "g∘f",
+            "fun (x : A) => g (f x)",
+        ),
+        # A composition inside a composition's side: two binders are gone.
+        (
+            Lam("x", A, App(Lam("y", A, App(Var(2, ""), App(Var(4, ""), Var(0, "y")))),
+                            App(delta, Var(0, "x")))),
+            "(?0∘?2)∘δ",
+            "fun (x : A) => (fun (y : A) => ?2 (?4 y)) (δ x)",
+        ),
+        (Lam("x", A, Pi("_", A, App(Var(3, ""), Var(1, "x")))), "fun (x : A) => A -> ?2 x", None),
+        (
+            Pi("_", A, Lam("x", A, App(Var(3, ""), App(delta, Var(0, "x"))))),
+            "A -> ?1∘δ",
+            "A -> (fun (x : A) => ?2 (δ x))",
+        ),
+    ]
+    for t, folded, plain in cases:
+        plain = plain or folded
+        assert fold_display(t, env) == folded
+        assert printer(env)(t) == folded
+        assert plain_display(t) == plain
+        assert printer()(t) == plain
 
 
 def test_printer_grammar_shapes(refined):
@@ -174,7 +223,8 @@ _HINTS = ("x", "x'", "y", "")
 
 def _shared_nodes(env, ops):
     """Terms built bottom-up from ``ops``, each from earlier ones, so that
-    many nodes are shared; some are equal copies of a binder under a new hint."""
+    many nodes are shared; some are equal copies of a binder under a new hint,
+    and some are compositions whose sides are earlier nodes, open ones too."""
     defs = [e.name for e in env.entries if isinstance(e, Def)]
     nodes = [STAR_T, Var(0, "x"), Var(1, "y")] + [Const(n) for n in defs]
     nodes += [unfold_all(env, Const(n)) for n in defs]
@@ -189,6 +239,9 @@ def _shared_nodes(env, ops):
             node, size = Pi(hint, a, b), 1 + sa + sb
         elif op == 3:
             node, size = Let(hint, a, a, b), 1 + 2 * sa + sb
+        elif op == 4:  # fun (x : A) => a (b x), with a and b's own variables kept
+            node = Lam(hint, Const("A"), App(shift(a, 1), App(shift(b, 1), Var(0, hint))))
+            size = 5 + sa + sb
         elif isinstance(a, Lam):
             node, size = Lam(hint, a.dom, a.body), sa
         elif isinstance(a, Pi):
@@ -216,7 +269,7 @@ def _size(t):
 @given(
     ops=st.lists(
         st.tuples(
-            st.integers(0, 4), st.integers(0, 999), st.integers(0, 999), st.sampled_from(_HINTS)
+            st.integers(0, 5), st.integers(0, 999), st.integers(0, 999), st.sampled_from(_HINTS)
         ),
         max_size=40,
     ),
