@@ -10,6 +10,11 @@ Folding is maximal: a subterm alpha-equal to the unfolding of a defined
 constant prints as that constant, later definitions winning, and notations
 (the built-in composition ``g∘f``) fold before constant folding.
 
+The printer reads terms and builds none.  ``g∘f`` and ``A -> B`` drop a
+binder that ``terms.occurs`` finds unused; ``g``, ``f`` and ``B`` print as
+they stand, in a scope whose slot for that binder is a placeholder no name
+equals.
+
 ``fold_display`` and ``plain_display`` print one term from scratch.  A trace
 prints its rows through a ``printer`` that lives as long as the trace and
 shares work between them: one unfolding memo, and a cache of the strings of
@@ -24,7 +29,7 @@ from typing import Callable, Optional
 
 from .env import GlobalEnv, unfold_all
 from .errors import TypeCheckError
-from .terms import App, BOX, Const, Lam, Let, Pi, SortT, TRIANGLE, Term, Var, spine, try_unshift
+from .terms import App, BOX, Const, Lam, Let, Pi, SortT, TRIANGLE, Term, Var, occurs, spine
 
 # Precedence levels, loosest first.
 _BINDER = 0
@@ -33,9 +38,13 @@ _COMP = 2
 _APP = 3
 _ATOM = 4
 
+# The scope slot of a dropped binder: no name ``_fresh`` makes equals it.
+_GONE = ""
+
 
 def match_composition(t: Term) -> Optional[tuple[Term, Term]]:
-    """Destructure ``fun (x : X) => g (f x)`` with x free in neither g nor f."""
+    """Destructure ``fun (x : X) => g (f x)`` with x free in neither g nor f;
+    ``g`` and ``f`` come back as they stand under the binder."""
     if not isinstance(t, Lam):
         return None
     body = t.body
@@ -44,13 +53,9 @@ def match_composition(t: Term) -> Optional[tuple[Term, Term]]:
     inner = body.arg
     if not isinstance(inner.arg, Var) or inner.arg.index != 0:
         return None
-    g = try_unshift(body.fn)
-    if g is None:
+    if occurs(body.fn) or occurs(inner.fn):
         return None
-    f = try_unshift(inner.fn)
-    if f is None:
-        return None
-    return g, f
+    return body.fn, inner.fn
 
 
 def fold_display(
@@ -100,9 +105,6 @@ def _render(
     names against the enclosing ones.
     """
 
-    def rec(t: Term, prec: int) -> str:
-        return _render(t, prec, scope, env, memo, cache)
-
     match t:
         case SortT(s):
             return s.token
@@ -111,7 +113,7 @@ def _render(
         case Var(i, hint):
             if i < len(scope):
                 return scope[i]
-            return hint or f"?{i}"
+            return hint or f"?{i - scope.count(_GONE)}"  # as if dropped binders were gone
 
     key = None
     if cache is not None and t.fa == 0:
@@ -120,12 +122,24 @@ def _render(
         if hit is not None:
             return hit[1]
 
+    def rec(t: Term, prec: int) -> str:
+        return _render(t, prec, scope, env, memo, cache)
+
+    def rec_gone(t: Term, prec: int) -> str:
+        """``t`` under a dropped binder; a closed ``t`` keeps its cache key."""
+        if t.fa == 0:
+            return rec(t, prec)
+        scope.insert(0, _GONE)
+        out = rec(t, prec)
+        scope.pop(0)
+        return out
+
     s, level = None, _ATOM
     if memo is not None:
         comp = match_composition(t)
         if comp is not None:
             g, f = comp
-            s, level = f"{rec(g, _APP)}∘{rec(f, _APP)}", _COMP
+            s, level = f"{rec_gone(g, _APP)}∘{rec_gone(f, _APP)}", _COMP
         elif env is not None and t.fa == 0:
             try:
                 s = env.fold_name(unfold_all(env, t, memo))
@@ -145,9 +159,8 @@ def _render(
                 scope.pop(0)
                 s, level = f"fun ({name} : {dom_s}) => {body_s}", _BINDER
             case Pi(hint, dom, cod):
-                plain_cod = try_unshift(cod)
-                if plain_cod is not None:
-                    s, level = f"{rec(dom, _COMP)} -> {rec(plain_cod, _ARROW)}", _ARROW
+                if not occurs(cod):
+                    s, level = f"{rec(dom, _COMP)} -> {rec_gone(cod, _ARROW)}", _ARROW
                 else:
                     name = _fresh(hint, scope)
                     dom_s = rec(dom, _BINDER)

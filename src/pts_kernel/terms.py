@@ -6,15 +6,16 @@ a structural hash (``shash``) and the number of dangling indices (``fa``,
 one more than the largest free index) so that equality checks and
 loop-detection hashing are cheap even on very large reduction states.
 
-``shift``, ``subst``, ``try_unshift`` and ``instantiate`` re-index variables
-through one traversal, ``_reindex``; each gives only what a variable at or
-above the cutoff becomes.  The traversal returns every subterm with no such
-variable (``fa <= cutoff``) as the same object, which callers rely on.
+``shift``, ``subst`` and ``instantiate`` re-index variables through one
+traversal, ``_reindex``; each gives only what a variable at or above the
+cutoff becomes.  The traversal returns every subterm with no such variable
+(``fa <= cutoff``) as the same object, which callers rely on.  ``occurs``
+asks whether one variable occurs, by reading alone.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 
 class Sort:
@@ -239,22 +240,26 @@ def subst(body: Term, value: Term, j: int = 0) -> Term:
     )
 
 
-class _Occurs(Exception):
-    """``Var(cutoff)`` occurs in a term ``try_unshift`` was asked to lower."""
-
-
-def _unshift_leaf(v: Var, cutoff: int) -> Term:
-    if v.index == cutoff:
-        raise _Occurs
-    return Var(v.index - 1, v.hint)
-
-
-def try_unshift(t: Term, cutoff: int = 0) -> Optional[Term]:
-    """Lower dangling indices by one, or None if ``Var(cutoff)`` occurs."""
-    try:
-        return _reindex(t, cutoff, _unshift_leaf)
-    except _Occurs:
-        return None
+def occurs(t: Term, i: int = 0) -> bool:
+    """Whether ``Var(i)`` occurs in ``t``, the index growing by one under each
+    binder.  Reads the term and builds nothing."""
+    while t.fa > i:  # below that, no variable reaches i
+        cls = type(t)
+        if cls is Var:
+            return t.index == i
+        if cls is App:
+            if occurs(t.arg, i):
+                return True
+            t = t.fn
+            continue
+        if cls is Let:
+            if occurs(t.ann, i) or occurs(t.defn, i):
+                return True
+        elif occurs(t.dom, i):  # Lam or Pi
+            return True
+        t = t.cod if cls is Pi else t.body
+        i += 1
+    return False
 
 
 def instantiate(rhs: Term, sigma: list[Term], depth: int = 0) -> Term:
