@@ -53,7 +53,7 @@ def tokenize(src: str) -> list[Token]:
     for m in _TOKEN.finditer(src):
         kind = m.lastgroup
         text = m[kind]
-        if kind == "space":
+        if kind == "space" or kind == "comment":  # a comment stops at the newline
             newlines = text.count("\n")
             if newlines:
                 line += newlines
@@ -61,8 +61,6 @@ def tokenize(src: str) -> list[Token]:
             else:
                 col += len(text)
             continue
-        if kind == "comment":
-            continue  # runs to the newline; the column is left where it starts
         if kind == "bad":
             raise ParseError(f"unexpected character {text!r}", line, col)
         if kind == "meta" and not text:

@@ -58,6 +58,13 @@ def test_check_lines_fold_only_names_defined_before_them(tmp_path, capsys):
     )
 
 
+def test_eof_after_a_last_comment_is_at_the_end_of_the_line(tmp_path, capsys):
+    src = tmp_path / "nop.pts"
+    src.write_text("const A : *.\ncheck A -- no period", encoding="utf-8")
+    assert main(["check", str(src)]) == 1
+    assert capsys.readouterr().out.endswith("parse error: 2:21: expected ':', found 'eof'\n")
+
+
 def test_file_target_load_renders_nothing(tmp_path, monkeypatch, capsys):
     calls = []
 

@@ -59,7 +59,7 @@ def test_corpus_tokens_are_pinned(name):
              ("eof", "", 1, 23)],
         ),
         # `--` starts a comment even inside a name; `->` ends one.
-        ("a--b", [("name", "a", 1, 1), ("eof", "", 1, 2)]),
+        ("a--b", [("name", "a", 1, 1), ("eof", "", 1, 5)]),
         (
             "x->y",
             [("name", "x", 1, 1), ("punct", "->", 1, 2), ("name", "y", 1, 4), ("eof", "", 1, 5)],
@@ -77,11 +77,11 @@ def test_corpus_tokens_are_pinned(name):
              ("sort", "##", 2, 9), ("punct", ":=", 2, 12), ("meta", "u'", 2, 15),
              ("punct", ".", 2, 18), ("eof", "", 3, 1)],
         ),
-        # A comment does not advance the column, so with no final newline the
-        # eof token sits where the comment starts.
+        # A comment advances the column, so with no final newline the eof
+        # token sits at the end of the line.
         (
             "check a. -- done",
-            [("kw", "check", 1, 1), ("name", "a", 1, 7), ("punct", ".", 1, 8), ("eof", "", 1, 10)],
+            [("kw", "check", 1, 1), ("name", "a", 1, 7), ("punct", ".", 1, 8), ("eof", "", 1, 17)],
         ),
         (
             "f∘g (⊥ ¬)",
