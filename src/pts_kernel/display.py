@@ -58,14 +58,9 @@ def match_composition(t: Term) -> Optional[tuple[Term, Term]]:
     return body.fn, inner.fn
 
 
-def fold_display(
-    t: Term, env: Optional[GlobalEnv] = None, scope: Optional[list[str]] = None
-) -> str:
-    """Print ``t`` with maximal re-folding against ``env``'s definitions.
-
-    ``scope`` names any dangling indices, innermost first.
-    """
-    return _render(t, _BINDER, list(scope or []), env, {})
+def fold_display(t: Term, env: Optional[GlobalEnv] = None) -> str:
+    """Print ``t`` with maximal re-folding against ``env``'s definitions."""
+    return _render(t, _BINDER, [], env, {})
 
 
 def plain_display(t: Term) -> str:

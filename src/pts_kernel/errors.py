@@ -50,21 +50,13 @@ FUEL_EXHAUSTED = "FuelExhausted"
 class TypeCheckError(KernelError):
     """A failed typing judgment.
 
-    ``kind`` is one of the tags above, ``path`` locates the offending subterm
-    (outermost first), and ``detail`` is a rendered explanation.  ``NoRule``
-    errors additionally carry the offending sort pair in ``rule_pair``.
+    ``kind`` is one of the tags above and ``detail`` is a rendered
+    explanation.  ``NoRule`` errors additionally carry the offending sort pair
+    in ``rule_pair``.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        detail: str,
-        path: tuple[str, ...] = (),
-        rule_pair: tuple[str, str] | None = None,
-    ) -> None:
-        where = " at " + ".".join(path) if path else ""
-        super().__init__(f"{kind}{where}: {detail}")
+    def __init__(self, kind: str, detail: str, rule_pair: tuple[str, str] | None = None) -> None:
+        super().__init__(f"{kind}: {detail}")
         self.kind = kind
         self.detail = detail
-        self.path = path
         self.rule_pair = rule_pair

@@ -177,10 +177,6 @@ class _Parser:
         t = self.peek()
         return t.kind == "punct" and t.text == text
 
-    def at_kw(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "kw" and t.text == text
-
     # -- terms --------------------------------------------------------------
 
     def term(self) -> Surface:

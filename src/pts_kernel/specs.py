@@ -63,9 +63,9 @@ PRESETS: dict[str, PtsSpec] = {
 }
 
 
-def empty_custom(name: str = "custom") -> PtsSpec:
+def empty_custom() -> PtsSpec:
     """Starting point for file-declared systems: all sorts, no axioms/rules."""
-    return PtsSpec(name=name, sorts=frozenset((STAR, BOX, TRIANGLE)), axioms={}, rules={})
+    return PtsSpec(name="custom", sorts=frozenset((STAR, BOX, TRIANGLE)), axioms={}, rules={})
 
 
 def with_axiom(spec: PtsSpec, s: Sort, s2: Sort) -> PtsSpec:

@@ -21,10 +21,9 @@ from typing import Callable
 class Sort:
     """One of the three sorts; ordered Star < Box < Triangle."""
 
-    __slots__ = ("tag", "rank", "token")
+    __slots__ = ("rank", "token")
 
-    def __init__(self, tag: str, rank: int, token: str) -> None:
-        self.tag = tag
+    def __init__(self, rank: int, token: str) -> None:
         self.rank = rank
         self.token = token
 
@@ -35,9 +34,9 @@ class Sort:
         return self.rank < other.rank
 
 
-STAR = Sort("Star", 0, "*")
-BOX = Sort("Box", 1, "#")
-TRIANGLE = Sort("Triangle", 2, "##")
+STAR = Sort(0, "*")
+BOX = Sort(1, "#")
+TRIANGLE = Sort(2, "##")
 SORTS = (STAR, BOX, TRIANGLE)
 SORT_BY_TOKEN = {s.token: s for s in SORTS}
 
