@@ -1,4 +1,5 @@
-"""Conversion against an independent normalizer on rule-free lambda-HOL.
+"""Conversion against an independent normalizer, and subject reduction, on
+rule-free lambda-HOL.
 
 Terms are generated type-directed over a small signature of transparent
 definitions (Church numerals and their arithmetic, plus an opaque base type),
@@ -15,6 +16,7 @@ from normalizer import normalize
 from pts_kernel.cli import run_program
 from pts_kernel.errors import FUEL_EXHAUSTED, TypeCheckError
 from pts_kernel.parser import elaborate, parse_term_surface
+from pts_kernel.reduce import head_def_step
 from pts_kernel.terms import Const, alpha_eq
 from pts_kernel.typecheck import Fuel, check, convert
 
@@ -165,3 +167,17 @@ def test_convert_agrees_with_normal_forms(pair):
         assert err.kind == FUEL_EXHAUSTED
         return
     assert verdict == alpha_eq(normalize(ENV, a), normalize(ENV, b)), (a_src, b_src)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TYPES).flatmap(lambda ty: st.tuples(st.just(ty), terms(ty))))
+def test_head_def_steps_preserve_types(case):
+    ty_src, src = case
+    ty, t = _term(ty_src), _term(src)
+    check(ENV, t, ty)
+    for _ in range(5):
+        step = head_def_step(ENV, t)
+        if step is None:
+            break
+        t = step[2]
+        check(ENV, t, ty)

@@ -1,8 +1,13 @@
+from unittest import mock
+
 import pytest
+from hypothesis import given, strategies as st
 
 from naive_reducer import is_subsequence, naive_head_step, naive_states
+from test_terms import FREE, _exact, _random_term, _ref_subst
 
-from pts_kernel.corpus import BUNDLE_IDS, get_bundle
+from pts_kernel import reduce
+from pts_kernel.corpus import BUNDLE_IDS, get_bundle, run_program
 from pts_kernel.display import fold_display
 from pts_kernel.env import GlobalEnv, unfold_all
 from pts_kernel.errors import ErasureNeedsTypesError, KernelError
@@ -22,7 +27,8 @@ from pts_kernel.reduce import (
     trace,
 )
 from pts_kernel.specs import PRESETS
-from pts_kernel.terms import App, Const, HOLE, Lam, STAR_T, Var, alpha_eq, app
+from pts_kernel.terms import App, Const, HOLE, Lam, Let, STAR_T, Var, alpha_eq, app, spine
+from pts_kernel.typecheck import Fuel, whnf
 
 
 def _term(src, env):
@@ -73,6 +79,136 @@ def test_head_def_step_fires_rewrite(simple):
     kind, detail, out = head_def_step(simple.env, t)
     assert (kind, detail) == ("rewrite-fire", "retract")
     assert out == Const("X₀")
+
+
+# -- fun chains ---------------------------------------------------------------
+#
+# A chain is contracted as far as arguments reach, also where a substitution
+# yields a further ``fun``; the reference below contracts one argument at a
+# time, through the textbook substitution of ``test_terms``.
+
+CHAIN_ENV = run_program(
+    """system lambda-hol.
+const A : *.
+const a : A.
+def b : A -> A := fun (y : A) => y.
+def c : (A -> A) -> A -> A := fun (x : A -> A) => x.
+"""
+).env
+
+
+def test_chain_continues_through_a_substituted_fun():
+    env, a = CHAIN_ENV, Const("a")
+    beta = _term("(fun (x : A -> A) => x) (fun (y : A) => y) a", env)
+    delta = _term("c (fun (y : A) => y) a", env)
+    assert head_def_step(env, beta) == ("beta-contract", "2", a)
+    assert head_def_step(env, delta) == ("delta-unfold", "c", a)
+    # readback leaves constants folded, so it reads the unfolded ``c`` applied
+    assert readback(beta) == a
+    assert readback(app(env.def_body("c"), *spine(delta)[1])) == a
+    for t, left in ((beta, 8), (delta, 7)):
+        fuel = Fuel(10)
+        assert whnf(env, t, fuel=fuel) == a
+        assert fuel.left == left
+
+
+def _ref_contract(fn, args):
+    count = 0
+    while isinstance(fn, Lam) and count < len(args):
+        fn = _ref_subst(fn.body, args[count])
+        count += 1
+    return count, app(fn, *args[count:])
+
+
+def _ref_head_def_step(env, t):
+    head, args = spine(t)
+    if isinstance(head, Lam) and args:
+        count, new = _ref_contract(head, args)
+        return "beta-contract", str(count), new
+    if isinstance(head, Let):
+        return "delta-unfold", head.hint, app(_ref_subst(head.body, head.defn), *args)
+    if isinstance(head, Const) and env.def_body(head.name) is not None:
+        return "delta-unfold", head.name, _ref_contract(env.def_body(head.name), args)[1]
+    return None  # CHAIN_ENV has no rewrite rules
+
+
+def _ref_readback(t, budget):
+    while True:
+        head, args = spine(t)
+        if isinstance(head, Let):
+            t = app(_ref_subst(head.body, head.defn), *args)
+        elif isinstance(head, Lam) and args:
+            t = _ref_contract(head, args)[1]
+        else:
+            return t
+        budget -= 1
+        if budget < 0:
+            raise KernelError("readback exceeded its contraction budget")
+
+
+def _ref_whnf(env, t, fuel):
+    stack = []
+    while True:
+        if isinstance(t, App):
+            stack.append(t.arg)
+            t = t.fn
+        elif isinstance(t, Lam) and stack:
+            fuel.spend()
+            t = _ref_subst(t.body, stack.pop())
+        elif isinstance(t, Let):
+            fuel.spend()
+            t = _ref_subst(t.body, t.defn)
+        elif isinstance(t, Const) and env.def_body(t.name) is not None:
+            fuel.spend()
+            t = env.def_body(t.name)
+        else:
+            return app(t, *reversed(stack))
+
+
+def _chain(rng, free):
+    """A chain of one to three ``fun``s over a body that may use them all."""
+    n = rng.randint(1, 3)
+    t = _random_term(rng, 3, free + n)
+    for k in reversed(range(n)):
+        t = Lam(rng.choice("uvw"), _random_term(rng, 1, free + k), t)
+    return t
+
+
+def _applied_chain(rng):
+    """An open head applied to zero to four open arguments, some of them ``fun``s."""
+    heads = [Const("b"), Const("c"), _chain(rng, FREE), _random_term(rng, 3, FREE)]
+    head = rng.choice(heads)
+    args = [
+        _chain(rng, FREE) if rng.random() < 0.5 else _random_term(rng, 3, FREE)
+        for _ in range(rng.randint(0, 4))
+    ]
+    return app(head, *args)
+
+
+def _outcome(run, *args):
+    """The exact result of ``run``, or the error it raised."""
+    try:
+        out = run(*args)
+    except KernelError as err:
+        return type(err), str(err)
+    if isinstance(out, tuple):  # a head-def step
+        return out[:2] + (_exact(out[2]),)
+    return None if out is None else _exact(out)
+
+
+SMALL_BUDGET = 16  # keeps self-reducing terms cheap on both sides
+
+
+@given(t=st.randoms(use_true_random=False).map(_applied_chain))
+def test_chain_contraction_matches_one_argument_at_a_time(t):
+    env = CHAIN_ENV
+    assert _outcome(head_def_step, env, t) == _outcome(_ref_head_def_step, env, t)
+    with mock.patch.object(reduce, "READBACK_BUDGET", SMALL_BUDGET):
+        assert _outcome(readback, t) == _outcome(_ref_readback, t, SMALL_BUDGET)
+    fuel, ref_fuel = Fuel(SMALL_BUDGET), Fuel(SMALL_BUDGET)
+    got = _outcome(lambda: whnf(env, t, fuel=fuel))
+    assert got == _outcome(_ref_whnf, env, t, ref_fuel)
+    assert fuel.left == ref_fuel.left
 
 
 # -- head-linear steps --------------------------------------------------------
