@@ -52,6 +52,7 @@ from .terms import (
     Term,
     Var,
     app,
+    instantiate,
     shift,
     spine,
     subst,
@@ -137,11 +138,19 @@ def head_def_step(env: GlobalEnv, t: Term) -> Optional[tuple[str, str, Term]]:
 
 def _contract(fn: Term, args: list[Term]) -> tuple[int, Term]:
     """Substitute leading ``args`` into the ``fun`` chain ``fn``; returns how
-    many it consumed and the result applied to the others."""
+    many it consumed and the result applied to the others.
+
+    Each syntactic chain, as far as arguments reach, is substituted in one
+    ``instantiate`` pass; contraction goes on while the result is a ``fun``
+    and arguments remain, so ``(fun x => x) (fun y => y) a`` consumes both.
+    """
     count = 0
     while isinstance(fn, Lam) and count < len(args):
-        fn = subst(fn.body, args[count])
-        count += 1
+        start = count
+        while isinstance(fn, Lam) and count < len(args):
+            fn = fn.body
+            count += 1
+        fn = instantiate(fn, args[start:count][::-1])
     return count, app(fn, *args[count:])
 
 

@@ -6,11 +6,14 @@ a structural hash (``shash``) and the number of dangling indices (``fa``,
 one more than the largest free index) so that equality checks and
 loop-detection hashing are cheap even on very large reduction states.
 
-``shift``, ``subst`` and ``instantiate`` re-index variables through one
-traversal, ``_reindex``; each gives only what a variable at or above the
-cutoff becomes.  The traversal returns every subterm with no such variable
-(``fa <= cutoff``) as the same object, which callers rely on.  ``occurs``
-asks whether one variable occurs, by reading alone.
+``shift`` and ``instantiate`` re-index variables through one traversal,
+``_reindex``; each gives only what a variable at or above the cutoff
+becomes.  ``instantiate`` is simultaneous substitution: it eliminates a
+whole run of binders in one pass, as a ``fun`` chain applied to its
+arguments does, and ``subst`` is its one-value case.  The traversal returns
+every subterm with no variable at or above the cutoff (``fa <= cutoff``) as
+the same object, which callers rely on.  ``occurs`` asks whether one
+variable occurs, by reading alone.
 """
 
 from __future__ import annotations
@@ -228,17 +231,6 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     return _reindex(t, cutoff, lambda v, c: Var(v.index + by, v.hint))
 
 
-def subst(body: Term, value: Term, j: int = 0) -> Term:
-    """Replace ``Var(j)`` in ``body`` by ``value`` and close the gap.
-
-    ``value`` is expected to live outside the binder being eliminated, i.e.
-    at index depth ``j`` less than occurrences of ``Var(j)``.
-    """
-    return _reindex(
-        body, j, lambda v, c: shift(value, c) if v.index == c else Var(v.index - 1, v.hint)
-    )
-
-
 def occurs(t: Term, i: int = 0) -> bool:
     """Whether ``Var(i)`` occurs in ``t``, the index growing by one under each
     binder.  Reads the term and builds nothing."""
@@ -261,11 +253,32 @@ def occurs(t: Term, i: int = 0) -> bool:
     return False
 
 
-def instantiate(rhs: Term, sigma: list[Term], depth: int = 0) -> Term:
-    """Plug a metavariable assignment into a rule right-hand side:
-    metavariable ``i``, ``Var(i + d)`` under ``d`` binders, becomes
-    ``sigma[i]`` shifted by ``d``."""
-    return _reindex(rhs, depth, lambda v, c: shift(sigma[v.index - c], c))
+def instantiate(t: Term, sigma: list[Term], depth: int = 0) -> Term:
+    """Simultaneous substitution: replace ``Var(depth + i)`` in ``t`` by
+    ``sigma[i]`` and close the gap the ``len(sigma)`` eliminated binders
+    leave.
+
+    Under ``d`` more binders, ``Var(depth + d + i)`` becomes ``sigma[i]``
+    shifted by ``depth + d`` for ``i < len(sigma)``, and ``Var(depth + d + i -
+    len(sigma))`` above that.  The values live outside the eliminated
+    binders.  For a ``fun`` chain ``fun x0 .. xk => M`` applied to
+    ``a0 .. ak``, ``sigma`` is the arguments innermost binder first,
+    ``[ak, .., a0]``; for a rule right-hand side it is the metavariable
+    assignment, which leaves no variable above it.
+    """
+    n = len(sigma)
+
+    def leaf(v: Var, c: int) -> Term:
+        i = v.index - c
+        return shift(sigma[i], c) if i < n else Var(v.index - n, v.hint)
+
+    return _reindex(t, depth, leaf)
+
+
+def subst(body: Term, value: Term, j: int = 0) -> Term:
+    """Replace ``Var(j)`` in ``body`` by ``value`` and close the gap: the
+    one-value case of ``instantiate``."""
+    return instantiate(body, [value], j)
 
 
 def spine(t: Term) -> tuple[Term, list[Term]]:

@@ -100,7 +100,12 @@ def _head_reduce(
     lazy_defs: bool,
     use_rules: bool = True,
 ) -> Term:
-    """Reduce at the head: beta, let, local values, rules, optionally delta."""
+    """Reduce at the head: beta, let, local values, rules, optionally delta.
+
+    Beta substitutes each syntactic ``fun`` chain, as far as arguments reach,
+    in one ``instantiate`` pass, spending fuel once per argument before it;
+    reduction goes on from the result, which may be a ``fun`` again.
+    """
     stack: list[Term] = []  # innermost argument last
     while True:
         if isinstance(t, App):
@@ -108,8 +113,12 @@ def _head_reduce(
             t = t.fn
             continue
         if isinstance(t, Lam) and stack:
-            fuel.spend()
-            t = subst(t.body, stack.pop())
+            sigma: list[Term] = []  # innermost binder's argument first
+            while isinstance(t, Lam) and stack:
+                fuel.spend()
+                sigma.insert(0, stack.pop())
+                t = t.body
+            t = instantiate(t, sigma)
             continue
         if isinstance(t, Let):
             fuel.spend()

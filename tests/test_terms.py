@@ -203,8 +203,15 @@ def _ref_occurs(t: Term, cutoff: int) -> bool:
     return bool(hits)
 
 
-def _ref_instantiate(rhs: Term, sigma: list[Term], depth: int = 0) -> Term:
-    return _ref_map(rhs, depth, lambda v, c: _ref_shift(sigma[v.index - c], c) if v.index >= c else v)
+def _ref_instantiate(t: Term, sigma: list[Term], depth: int = 0) -> Term:
+    def on_var(v: Var, c: int) -> Term:
+        if v.index < c:
+            return v
+        if v.index - c < len(sigma):
+            return _ref_shift(sigma[v.index - c], c)
+        return Var(v.index - len(sigma), v.hint)
+
+    return _ref_map(t, depth, on_var)
 
 
 def _exact(t: Term):
@@ -271,7 +278,7 @@ def test_occurs_matches_reference(t, cutoff):
     assert occurs(t, cutoff) == _ref_occurs(t, cutoff)
 
 
-@given(t=_terms, sigma=st.lists(_values, min_size=FREE, max_size=FREE), depth=_cutoffs)
+@given(t=_terms, sigma=st.lists(_values, max_size=FREE), depth=_cutoffs)
 def test_instantiate_matches_reference(t, sigma, depth):
     out = instantiate(t, sigma, depth)
     assert _exact(out) == _exact(_ref_instantiate(t, sigma, depth))
