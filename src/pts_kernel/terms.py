@@ -226,7 +226,7 @@ def _reindex(t: Term, cutoff: int, leaf: Callable[[Var, int], Term]) -> Term:
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Shift dangling indices >= ``cutoff`` by ``by``."""
-    if by == 0:
+    if by == 0 or t.fa <= cutoff:
         return t
     return _reindex(t, cutoff, lambda v, c: Var(v.index + by, v.hint))
 
@@ -254,18 +254,16 @@ def occurs(t: Term, i: int = 0) -> bool:
 
 
 def instantiate(t: Term, sigma: list[Term], depth: int = 0) -> Term:
-    """Simultaneous substitution: replace ``Var(depth + i)`` in ``t`` by
-    ``sigma[i]`` and close the gap the ``len(sigma)`` eliminated binders
-    leave.
-
-    Under ``d`` more binders, ``Var(depth + d + i)`` becomes ``sigma[i]``
-    shifted by ``depth + d`` for ``i < len(sigma)``, and ``Var(depth + d + i -
-    len(sigma))`` above that.  The values live outside the eliminated
-    binders.  For a ``fun`` chain ``fun x0 .. xk => M`` applied to
-    ``a0 .. ak``, ``sigma`` is the arguments innermost binder first,
-    ``[ak, .., a0]``; for a rule right-hand side it is the metavariable
-    assignment, which leaves no variable above it.
+    """Simultaneous substitution.  ``Var(depth + i)`` becomes ``sigma[i]``
+    shifted by ``depth`` for ``i < len(sigma)``, and ``Var(depth + i -
+    len(sigma))`` above that, closing the gap the eliminated binders leave;
+    under ``d`` more binders, indices and shift grow by ``d``.
+    ``fun x0 .. xk => M`` applied to ``a0 .. ak`` contracts to
+    ``instantiate(M, [ak, .., a0])``; a rule right-hand side reads only its
+    metavariable assignment.
     """
+    if t.fa <= depth:  # nothing to replace: skip building the leaf
+        return t
     n = len(sigma)
 
     def leaf(v: Var, c: int) -> Term:
