@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import pytest
@@ -17,6 +18,7 @@ from pts_kernel.reduce import (
     HEAD_DEF,
     HEAD_LINEAR,
     POLY,
+    LoopReport,
     _walk,
     detect_loop,
     erase,
@@ -209,6 +211,89 @@ def test_chain_contraction_matches_one_argument_at_a_time(t):
     got = _outcome(lambda: whnf(env, t, fuel=fuel))
     assert got == _outcome(_ref_whnf, env, t, ref_fuel)
     assert fuel.left == ref_fuel.left
+
+
+# -- head-def walks -----------------------------------------------------------
+#
+# ``trace`` and ``detect_loop`` walk head-def states on their own; their rows
+# must be those of iterating ``head_def_step``, hint for hint, and their
+# verdicts those of a walk keyed on the state term.
+
+
+def _ref_detect_loop(env, t, bound):
+    """Loop search by ``head_def_step``, keyed on the state term."""
+    seen, cur, prev = {t: 0}, t, t
+    for steps in range(1, bound + 1):
+        step = head_def_step(env, cur)
+        if step is None:
+            return LoopReport(False, 0, 0, bound, steps=steps - 1)
+        cur = step[2]
+        if cur != prev:
+            if cur in seen:
+                return LoopReport(True, seen[cur], len(seen) - seen[cur], bound, steps=steps)
+            seen[cur] = len(seen)
+            prev = cur
+    return LoopReport(False, 0, 0, bound, steps=bound)
+
+
+def _check_head_def_walk(env, t, bound, mode=None):
+    erased_env, erased = env, t
+    if mode is not None:
+        erased_env, erased = erase_env(env, mode), erase(t, mode, env=env)
+    tr = trace(erased_env, erased, HEAD_DEF, bound, fold=False)
+    cur = erased
+    for row in tr.steps:
+        step = head_def_step(erased_env, cur)
+        assert step is not None
+        assert (row.kind, row.detail, _exact(row.raw)) == step[:2] + (_exact(step[2]),)
+        cur = step[2]
+    if tr.stopped == "head-normal":
+        assert head_def_step(erased_env, cur) is None
+    report = detect_loop(env, t, HEAD_DEF, bound, mode=mode)
+    assert report == _ref_detect_loop(erased_env, erased, bound)
+    assert (report.steps, report.found) == (len(tr.steps), tr.stopped == "loop")
+
+
+@given(t=st.randoms(use_true_random=False).map(_applied_chain), bound=st.integers(0, 60))
+def test_head_def_walk_of_chains_matches_head_def_steps(t, bound):
+    _check_head_def_walk(CHAIN_ENV, t, bound)
+
+
+@given(
+    bundle_id=st.sampled_from(BUNDLE_IDS),
+    mode=st.sampled_from([None, ANNOTATIONS, POLY]),
+    bound=st.integers(0, 60),
+)
+def test_head_def_walk_of_bundles_matches_head_def_steps(bundle_id, mode, bound):
+    bundle = get_bundle(bundle_id)
+    _check_head_def_walk(bundle.env, bundle.key_terms["bottomProof"], bound, mode)
+
+
+# -- the readback budget ------------------------------------------------------
+
+
+def _contractions(n, shift):
+    """A closed term whose readback takes exactly ``n`` contractions, one per
+    level: ``(fun x => t) a``, ``let x := a in t`` or ``(fun f => f) (fun y =>
+    t) a``, where the last goes on through the ``fun`` it substitutes."""
+    a, t = Const("a"), Const("a")
+    for level in range(n):
+        shape = (level + shift) % 3
+        if shape == 0:
+            t = App(Lam("x", STAR_T, t), a)
+        elif shape == 1:
+            t = Let("x", STAR_T, a, t)
+        else:
+            t = app(Lam("f", STAR_T, Var(0, "f")), Lam("y", STAR_T, t), a)
+    return t
+
+
+@pytest.mark.parametrize("budget, shift", itertools.product([0, 1, 2, 3, 7], range(3)))
+def test_readback_spends_its_budget_per_contraction(budget, shift):
+    with mock.patch.object(reduce, "READBACK_BUDGET", budget):
+        assert readback(_contractions(budget, shift)) == Const("a")
+        with pytest.raises(KernelError, match="^readback exceeded its contraction budget$"):
+            readback(_contractions(budget + 1, shift))
 
 
 # -- head-linear steps --------------------------------------------------------
