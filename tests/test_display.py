@@ -14,7 +14,7 @@ from pts_kernel.env import Def, GlobalEnv, unfold_all
 from pts_kernel.parser import elaborate, parse_term_surface
 from pts_kernel.reduce import trace
 from pts_kernel.specs import LAMBDA_HOL
-from pts_kernel.terms import STAR_T, App, Const, Lam, Let, Pi, Var, alpha_eq, shift
+from pts_kernel.terms import STAR_T, App, Const, Lam, Let, Pi, Var, alpha_eq, app, shift
 
 
 def _term(src, env):
@@ -274,12 +274,49 @@ def _size(t):
         max_size=40,
     ),
     rows=st.lists(st.integers(0, 999), min_size=1, max_size=12),
+    deep=st.lists(st.sampled_from(_HINTS), max_size=150),
 )
-def test_printer_agrees_with_one_shot_displays(refined, ops, rows):
+def test_printer_agrees_with_one_shot_displays(refined, ops, rows, deep):
+    # ``deep`` puts each row under a run of binders whose hints collide, so
+    # that names are primed many times and cache keys hold long scopes.
     env = refined.env
     nodes = _shared_nodes(env, ops)
     folded, plain = printer(env), printer()
     for r in rows:
         t = nodes[-1 - r % len(nodes)]
+        for hint in deep[: r % (len(deep) + 1)]:
+            t = Lam(hint, Const("A"), t)
         assert folded(t) == fold_display(t, env)
         assert plain(t) == plain_display(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    binders=st.lists(
+        st.tuples(st.booleans(), st.sampled_from(_HINTS), st.integers(0, 999)), max_size=200
+    ),
+    uses=st.lists(st.integers(0, 999), min_size=1, max_size=6),
+)
+def test_deep_scopes_prime_colliding_hints(binders, uses):
+    # A nest of ``fun``s and ``let``s over an application of their variables,
+    # against names primed by scanning the scope, as a textbook printer does.
+    names, parts = [], []  # names innermost first, like the printer's scope
+    for is_let, hint, d in binders:
+        name = hint or "x"
+        while name in names:
+            name += "'"
+        if is_let:
+            parts.append(f"let {name} : A := {names[d % len(names)] if names else 'a'} in ")
+        else:
+            parts.append(f"fun ({name} : A) => ")
+        names.insert(0, name)
+    t = app(*[Var(u % len(names)) if names else Const("a") for u in uses])
+    for k, (is_let, hint, d) in reversed(list(enumerate(binders))):
+        if is_let:
+            t = Let(hint, Const("A"), Var(d % k) if k else Const("a"), t)
+        else:
+            t = Lam(hint, Const("A"), t)
+    body = " ".join(names[u % len(names)] if names else "a" for u in uses)
+    expected = "".join(parts) + body
+    assert plain_display(t) == expected
+    assert printer()(t) == expected
