@@ -60,12 +60,12 @@ def match_composition(t: Term) -> Optional[tuple[Term, Term]]:
 
 def fold_display(t: Term, env: Optional[GlobalEnv] = None) -> str:
     """Print ``t`` with maximal re-folding against ``env``'s definitions."""
-    return _render(t, _BINDER, [], env, {})
+    return _render(t, _BINDER, _Scope(), env, {})
 
 
 def plain_display(t: Term) -> str:
     """Print ``t`` with no re-folding and no notations."""
-    return _render(t, _BINDER, [], None, None)
+    return _render(t, _BINDER, _Scope(), None, None)
 
 
 def raw_display(t: Term, env: GlobalEnv) -> str:
@@ -79,13 +79,29 @@ def printer(env: Optional[GlobalEnv] = None) -> Callable[[Term], str]:
     ``_render``) across all the terms it prints, such as one trace's rows."""
     memo: Optional[dict[Term, Term]] = {} if env is not None else None
     cache: dict[tuple, tuple[Term, str]] = {}
-    return lambda t: _render(t, _BINDER, [], env, memo, cache)
+    return lambda t: _render(t, _BINDER, _Scope(), env, memo, cache)
+
+
+class _Scope(list):
+    """The binder names in scope, innermost first, with a count per name so
+    that ``_fresh`` tests a name in constant time."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.counts: dict[str, int] = {}
+
+    def push(self, name: str) -> None:
+        self.insert(0, name)
+        self.counts[name] = self.counts.get(name, 0) + 1
+
+    def drop(self) -> None:
+        self.counts[self.pop(0)] -= 1
 
 
 def _render(
     t: Term,
     prec: int,
-    scope: list[str],
+    scope: _Scope,
     env: Optional[GlobalEnv],
     memo: Optional[dict[Term, Term]],
     cache: Optional[dict[tuple, tuple[Term, str]]] = None,
@@ -124,9 +140,9 @@ def _render(
         """``t`` under a dropped binder; a closed ``t`` keeps its cache key."""
         if t.fa == 0:
             return rec(t, prec)
-        scope.insert(0, _GONE)
+        scope.push(_GONE)
         out = rec(t, prec)
-        scope.pop(0)
+        scope.drop()
         return out
 
     s, level = None, _ATOM
@@ -149,9 +165,9 @@ def _render(
             case Lam(hint, dom, body):
                 name = _fresh(hint, scope)
                 dom_s = rec(dom, _BINDER)
-                scope.insert(0, name)
+                scope.push(name)
                 body_s = rec(body, _BINDER)
-                scope.pop(0)
+                scope.drop()
                 s, level = f"fun ({name} : {dom_s}) => {body_s}", _BINDER
             case Pi(hint, dom, cod):
                 if not occurs(cod):
@@ -159,9 +175,9 @@ def _render(
                 else:
                     name = _fresh(hint, scope)
                     dom_s = rec(dom, _BINDER)
-                    scope.insert(0, name)
+                    scope.push(name)
                     cod_s = rec(cod, _BINDER)
-                    scope.pop(0)
+                    scope.drop()
                     if isinstance(dom, SortT) and dom.sort in (BOX, TRIANGLE):
                         s = f"Pi ({name} : {dom_s}) -> {cod_s}"
                     else:
@@ -171,9 +187,9 @@ def _render(
                 name = _fresh(hint, scope)
                 ann_s = rec(ann, _BINDER)
                 defn_s = rec(defn, _BINDER)
-                scope.insert(0, name)
+                scope.push(name)
                 body_s = rec(body, _BINDER)
-                scope.pop(0)
+                scope.drop()
                 s, level = f"let {name} : {ann_s} := {defn_s} in {body_s}", _BINDER
 
     out = f"({s})" if prec > level else s
@@ -182,8 +198,8 @@ def _render(
     return out
 
 
-def _fresh(hint: str, scope: list[str]) -> str:
+def _fresh(hint: str, scope: _Scope) -> str:
     name = hint or "x"
-    while name in scope:
+    while scope.counts.get(name):
         name += "'"
     return name
