@@ -8,6 +8,7 @@ byte-exact surface golden files bind to.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -112,8 +113,9 @@ def _add_common(p: argparse.ArgumentParser, with_term: bool = True) -> None:
     p.add_argument("--system", choices=sorted(PRESETS), default=None)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    sys.setrecursionlimit(100_000)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call to ``main``."""
     parser = argparse.ArgumentParser(
         prog="pts",
         description="PTS proof checker with definitions, rewrite rules, and reduction traces",
@@ -148,8 +150,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p = sub.add_parser("list-corpus", help="list shipped paradox bundles")
     p.set_defaults(fn=cmd_list_corpus)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list[str]] = None) -> int:
+    sys.setrecursionlimit(100_000)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (KernelError, OSError) as err:
