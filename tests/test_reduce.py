@@ -254,7 +254,23 @@ def _check_head_def_walk(env, t, bound, mode=None):
     assert (report.steps, report.found) == (len(tr.steps), tr.stopped == "loop")
 
 
-@given(t=st.randoms(use_true_random=False).map(_applied_chain), bound=st.integers(0, 60))
+def _redex_under_chain(rng):
+    """``fun``s over an applied chain, applied in turn: a contraction often
+    leaves a ``fun`` applied at the head, which is a step of its own."""
+    n = rng.randint(1, 2)
+    args = [_random_term(rng, 2, FREE + n) for _ in range(rng.randint(1, 2))]
+    t = app(_chain(rng, FREE + n), *args)
+    for k in reversed(range(n)):
+        t = Lam(rng.choice("uvw"), _random_term(rng, 1, FREE + k), t)
+    return app(t, *[_random_term(rng, 2, FREE) for _ in range(rng.randint(0, 3))])
+
+
+@given(
+    t=st.randoms(use_true_random=False).map(
+        lambda rng: _applied_chain(rng) if rng.random() < 0.5 else _redex_under_chain(rng)
+    ),
+    bound=st.integers(0, 60),
+)
 def test_head_def_walk_of_chains_matches_head_def_steps(t, bound):
     _check_head_def_walk(CHAIN_ENV, t, bound)
 
