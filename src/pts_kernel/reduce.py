@@ -1,28 +1,32 @@
 """Reduction strategies, type erasure, trace emission, and loop detection.
 
 Two step granularities are provided.  ``head_def_step`` performs one
-definition-level event: unfold the head constant and contract every exposed
-leading beta-redex with an argument present (one trace-table row), or contract
-a head beta chain, or fire one head rewrite rule.  ``head_linear_step`` is the
-finer-grained discipline: it replaces exactly one occurrence, the head one, of
-the head variable or constant by its binding, leaving the surrounding redex in
-place.  Its observable state is the readback that flattens pending spine
-substitutions.
+definition-level event: unfold the head constant and contract its ``fun``
+chain against the arguments present (one trace-table row), or contract a head
+beta chain, or substitute a head ``let``, or fire one head rewrite rule.
+``head_linear_step`` is the finer-grained discipline: it replaces exactly one
+occurrence, the head one, of the head variable or constant by its binding,
+leaving the surrounding redex in place.  Its observable state is the readback
+that flattens pending spine substitutions.
+
+Head-def reduction and readback hold a state as a head and an argument stack
+(the Krivine machine's): a contraction, ``typecheck.contract_head`` as in
+conversion, pops the arguments it consumes and pushes its result's spine, so
+no step splits or rebuilds the whole application.  Loop search keys a state by
+the tuple of its head and arguments; only ``trace`` rows build the term.
 
 Head-linear reduction runs on a resumable machine (``_LinearMachine``) that
 keeps a zipper on the head path: the nodes from the root to the tip, what
 each binder on the path is bound to, the arguments no binder has consumed
 yet, and the binder depth.  A step replaces the occurrence at the tip and
-leaves the path above it unchanged, so the next step resumes at the tip
-instead of walking down from the root; the full state term is rebuilt only
-when a caller asks for it (``trace`` does, loop search does not).  The
-machine also keeps the readback of its state up to date.  While no
-unapplied ``fun`` lies on the path, a linear substitution leaves the readback
-unchanged, and a delta-unfold of ``c`` turns a readback ``c a1 .. an`` into
-``readback(body a1 .. an)``.  Otherwise (an unapplied ``fun`` on the path,
-or a readback whose head is not ``c``) it reads back the rebuilt state in
-full.  Each readback has its own contraction budget.  ``head_linear_step`` is
-one step of a fresh machine.
+leaves the path above it unchanged, so the next step resumes at the tip; the
+full state term is rebuilt only when a caller asks for it.  The machine also
+keeps the readback of its state up to date: while no unapplied ``fun`` lies
+on the path, a linear substitution leaves the readback unchanged, and a
+delta-unfold of ``c`` turns a readback ``c a1 .. an`` into ``readback(body a1
+.. an)``; otherwise it reads back the rebuilt state in full.  Each readback
+has its own contraction budget.  ``head_linear_step`` is one step of a fresh
+machine.
 
 Erasure comes in two modes.  ``annotations`` drops binder annotations and
 turns type-level subterms (sorts and products in term position) into an opaque
@@ -52,12 +56,11 @@ from .terms import (
     Term,
     Var,
     app,
-    instantiate,
     shift,
     spine,
-    subst,
+    unwind,
 )
-from .typecheck import Ctx, Fuel, _try_rules, infer, push, rule_context, whnf
+from .typecheck import Ctx, Fuel, _try_rules, contract_head, infer, push, rule_context, whnf
 
 HEAD_DEF = "head-def"
 HEAD_LINEAR = "head-linear"
@@ -119,39 +122,32 @@ class LoopReport:
 
 def head_def_step(env: GlobalEnv, t: Term) -> Optional[tuple[str, str, Term]]:
     """One definition-level head event, or None when head-normal."""
-    head, args = spine(t)
-    if isinstance(head, Lam) and args:
-        count, new = _contract(head, args)
-        return BETA_CONTRACT, str(count), new
-    if isinstance(head, Let):
-        return DELTA_UNFOLD, head.hint, app(subst(head.body, head.defn), *args)
-    if isinstance(head, Const):
-        body = env.def_body(head.name)
-        if body is not None:
-            return DELTA_UNFOLD, head.name, _contract(body, args)[1]
-        fired = _try_rules(env, head.name, list(reversed(args)), (), Fuel())
-        if fired is not None:
-            rule_name, new, stack = fired
-            return REWRITE_FIRE, rule_name, app(new, *reversed(stack))
-    return None
+    stack: list[Term] = []
+    event = _head_def_event(env, unwind(t, stack), stack)
+    return None if event is None else (*event[:2], app(event[2], *reversed(stack)))
 
 
-def _contract(fn: Term, args: list[Term]) -> tuple[int, Term]:
-    """Substitute leading ``args`` into the ``fun`` chain ``fn``; returns how
-    many it consumed and the result applied to the others.
-
-    Each syntactic chain, as far as arguments reach, is substituted in one
-    ``instantiate`` pass; contraction goes on while the result is a ``fun``
-    and arguments remain, so ``(fun x => x) (fun y => y) a`` consumes both.
-    """
-    count = 0
-    while isinstance(fn, Lam) and count < len(args):
-        start = count
-        while isinstance(fn, Lam) and count < len(args):
-            fn = fn.body
-            count += 1
-        fn = instantiate(fn, args[start:count][::-1])
-    return count, app(fn, *args[count:])
+def _head_def_event(
+    env: GlobalEnv, head: Term, stack: list[Term]
+) -> Optional[tuple[str, str, Term]]:
+    """One head-def event on ``head`` applied to ``stack`` (innermost argument
+    last): its kind, its detail (for a ``fun`` chain, the arguments consumed)
+    and the new head, whose spine it unwinds onto ``stack``; or None."""
+    cls = type(head)
+    if cls is Lam and stack:
+        count = len(stack)
+        new = contract_head(head, stack)
+        kind, detail = BETA_CONTRACT, str(count - len(stack))
+    elif cls is Let:
+        kind, detail, new = DELTA_UNFOLD, head.hint, contract_head(head, stack)
+    elif cls is Const and (body := env.def_body(head.name)) is not None:
+        kind, detail = DELTA_UNFOLD, head.name
+        new = contract_head(body, stack) if type(body) is Lam else body
+    elif cls is Const and (fired := _try_rules(env, head.name, stack, (), Fuel())):
+        kind, (detail, new) = REWRITE_FIRE, fired
+    else:
+        return None
+    return kind, detail, unwind(new, stack)
 
 
 class _LinearMachine:
@@ -273,53 +269,46 @@ READBACK_BUDGET = 65536  # redex contractions allowed in one readback
 
 
 def readback(t: Term) -> Term:
-    """Flatten pending spine substitutions: the observable state of the
-    linear machine.
-
-    Contracts redex chains along the head path until the head is no longer an
-    applied lambda or a let, which makes every readback a full-substitution
-    head-reduction state.  On terms whose head path never leaves lambda
-    redexes (possible only for constant-free self-reducing states) the
-    flattening is cut off with an error rather than silently diverging.
-    """
-    budget = READBACK_BUDGET
-    while True:
-        head, args = spine(t)
-        if isinstance(head, Let):
-            t = app(subst(head.body, head.defn), *args)
-        elif isinstance(head, Lam) and args:
-            t = _contract(head, args)[1]
-        else:
-            return t
+    """Flatten pending spine substitutions: the observable state of the linear
+    machine.  Contracts along the head path until its head is no longer an
+    applied ``fun`` or a ``let``, one budget unit per ``contract_head``; a
+    state that never gets there (a constant-free self-reducing one) raises."""
+    stack: list[Term] = []
+    head, budget = unwind(t, stack), READBACK_BUDGET
+    while type(head) is Let or (type(head) is Lam and stack):
+        head = unwind(contract_head(head, stack), stack)
         budget -= 1
         if budget < 0:
             raise KernelError("readback exceeded its contraction budget")
+    return t if budget == READBACK_BUDGET else app(head, *reversed(stack))
 
 
 def _walk(
     env: GlobalEnv, t: Term, strategy: str, limit: int, rows: bool = True
-) -> Iterator[tuple[tuple, Term, Optional[tuple[int, int]]]]:
+) -> Iterator[tuple[tuple, object, Optional[tuple[int, int]]]]:
     """Step ``t`` at most ``limit`` times, yielding ``(step, key, loop)`` per step.
 
-    ``step`` is ``(kind, detail, term)``; with ``rows`` false the head-linear
-    machine leaves detail and term unbuilt (None), as loop search needs
-    neither.  ``key`` is the observation of the new state: the state under
-    head-def, its readback under head-linear.  Observable states are
-    numbered from 0 at ``t``; a step that leaves the state unchanged makes no
-    new observation.  ``loop`` is None until a step revisits observation
-    ``entry``, when it is ``(entry, period)`` and the walk ends.  The walk also
-    ends on a head-normal form.
+    ``step`` is ``(kind, detail, term)``, detail and term None unless
+    ``rows``.  ``key`` is the observation of the new state: under head-linear
+    the readback of the machine's state; under head-def, whose state is a
+    head and an argument stack, the tuple ``(head, *stack)``, equal to
+    another exactly when the two applications are alpha-equal, as a head is
+    never an ``App``.  Observations are numbered from 0 at ``t``; a step that
+    leaves the state unchanged makes none.  ``loop`` is None until a step
+    revisits observation ``entry``, when it is ``(entry, period)`` and the
+    walk ends, as it does on a head-normal form.
     """
     linear = strategy == HEAD_LINEAR
     if linear:
         machine = _LinearMachine(env, t)
-        prev_key = machine.observation()
+        prev_key: object = machine.observation()
     elif strategy == HEAD_DEF:
-        prev_key = t
+        stack: list[Term] = []
+        head = unwind(t, stack)
+        prev_key = (head, *stack)
     else:
         raise KernelError(f"unknown strategy {strategy!r}")
     seen = {prev_key: 0}
-    cur = t
     for _ in range(limit):
         result: tuple
         if linear:
@@ -329,16 +318,18 @@ def _walk(
             key = machine.observation()
             result = (kind, machine.detail(), machine.term()) if rows else (kind, None, None)
         else:
-            result = head_def_step(env, cur)
-            if result is None:
+            event = _head_def_event(env, head, stack)
+            if event is None:
                 return
-            cur = key = result[2]
+            kind, detail, head = event
+            key = (head, *stack)
+            result = (kind, detail, app(head, *reversed(stack))) if rows else (kind, None, None)
         if key != prev_key:
-            entry = seen.get(key)
-            if entry is not None:
-                yield result, key, (entry, len(seen) - entry)
+            count = len(seen)
+            entry = seen.setdefault(key, count)
+            if entry != count:
+                yield result, key, (entry, count - entry)
                 return
-            seen[key] = len(seen)
             prev_key = key
         yield result, key, None
 

@@ -279,14 +279,21 @@ def subst(body: Term, value: Term, j: int = 0) -> Term:
     return instantiate(body, [value], j)
 
 
+def unwind(t: Term, stack: list[Term]) -> Term:
+    """Push the arguments of ``t``'s application spine onto ``stack``,
+    innermost last, and return its head, which is never an ``App``."""
+    while type(t) is App:
+        stack.append(t.arg)
+        t = t.fn
+    return t
+
+
 def spine(t: Term) -> tuple[Term, list[Term]]:
     """Decompose nested applications into (head, arguments-in-order)."""
     args: list[Term] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
+    head = unwind(t, args)
     args.reverse()
-    return t, args
+    return head, args
 
 
 def app(fn: Term, *args: Term) -> Term:

@@ -100,29 +100,15 @@ def _head_reduce(
     lazy_defs: bool,
     use_rules: bool = True,
 ) -> Term:
-    """Reduce at the head: beta, let, local values, rules, optionally delta.
-
-    Beta substitutes each syntactic ``fun`` chain, as far as arguments reach,
-    in one ``instantiate`` pass, spending fuel once per argument before it;
-    reduction goes on from the result, which may be a ``fun`` again.
-    """
+    """Reduce at the head: beta, let, local values, rules, optionally delta."""
     stack: list[Term] = []  # innermost argument last
     while True:
         if isinstance(t, App):
             stack.append(t.arg)
             t = t.fn
             continue
-        if isinstance(t, Lam) and stack:
-            sigma: list[Term] = []  # innermost binder's argument first
-            while isinstance(t, Lam) and stack:
-                fuel.spend()
-                sigma.insert(0, stack.pop())
-                t = t.body
-            t = instantiate(t, sigma)
-            continue
-        if isinstance(t, Let):
-            fuel.spend()
-            t = subst(t.body, t.defn)
+        if isinstance(t, Let) or (isinstance(t, Lam) and stack):
+            t = contract_head(t, stack, fuel)
             continue
         if isinstance(t, Var) and t.index < len(ctx):
             value = ctx_value(ctx, t.index)
@@ -142,18 +128,41 @@ def _head_reduce(
             if use_rules and isinstance(entry, Decl):
                 fired = _try_rules(env, t.name, stack, ctx, fuel)
                 if fired is not None:
-                    _, t, stack = fired
+                    t = fired[1]
                     continue
             break
         break  # sorts, products, unapplied lambdas, free variables, holes
-    for a in reversed(stack):
-        t = App(t, a)
+    return app(t, *reversed(stack))
+
+
+def contract_head(t: Term, stack: list[Term], fuel: Optional[Fuel] = None) -> Term:
+    """Contract the redex ``t``, a ``let`` or an applied ``fun``, against
+    ``stack`` (innermost argument last); the caller unwinds the result.  A
+    ``let`` substitutes its definition; a ``fun`` chain pops the arguments it
+    binds into one ``instantiate`` pass, going on while the result is a
+    ``fun`` and arguments remain.  ``fuel``, if any, is spent once for a
+    ``let`` and once per argument, before its pop."""
+    if type(t) is Let:
+        if fuel is not None:
+            fuel.spend()
+        return subst(t.body, t.defn)
+    while type(t) is Lam and stack:
+        sigma: list[Term] = []
+        while type(t) is Lam and stack:
+            if fuel is not None:
+                fuel.spend()
+            sigma.append(stack.pop())
+            t = t.body
+        sigma.reverse()  # innermost binder's argument first
+        t = instantiate(t, sigma)
     return t
 
 
 def _try_rules(
     env: GlobalEnv, name: str, stack: list[Term], ctx: Ctx, fuel: Fuel
-) -> Optional[tuple[str, Term, list[Term]]]:
+) -> Optional[tuple[str, Term]]:
+    """Fire the first rule for ``name`` matching ``stack`` (innermost argument
+    last): pop the arguments it consumes; return its name and right-hand side."""
     rules = env.rules_for(name)
     if not rules:
         return None
@@ -168,8 +177,8 @@ def _try_rules(
             for pat, arg in zip(rule.lhs.args, args[:n])
         ):
             fuel.spend()
-            new = instantiate(rule.rhs, sigma)  # type: ignore[arg-type]
-            return rule.name, new, list(reversed(args[n:]))
+            del stack[len(stack) - n :]
+            return rule.name, instantiate(rule.rhs, sigma)  # type: ignore[arg-type]
     return None
 
 

@@ -312,6 +312,16 @@ def test_readback_spends_its_budget_per_contraction(budget, shift):
             readback(_contractions(budget + 1, shift))
 
 
+def test_growing_spine_reaches_the_default_readback_budget():
+    # Each contraction of (fun w => w w a) (fun w => w w a) leaves one more
+    # argument on the spine; readback works on one argument stack, so the
+    # default budget runs out in well under a second.
+    w = Var(0, "w")
+    grow = Lam("w", STAR_T, app(w, w, Const("a")))
+    with pytest.raises(KernelError, match="^readback exceeded its contraction budget$"):
+        readback(App(grow, grow))
+
+
 # -- head-linear steps --------------------------------------------------------
 
 
