@@ -60,12 +60,12 @@ def match_composition(t: Term) -> Optional[tuple[Term, Term]]:
 
 def fold_display(t: Term, env: Optional[GlobalEnv] = None) -> str:
     """Print ``t`` with maximal re-folding against ``env``'s definitions."""
-    return _render(t, _BINDER, _Scope(), env, {})
+    return _render(t, _BINDER, [], set(), env, {})
 
 
 def plain_display(t: Term) -> str:
     """Print ``t`` with no re-folding and no notations."""
-    return _render(t, _BINDER, _Scope(), None, None)
+    return _render(t, _BINDER, [], set(), None, None)
 
 
 def raw_display(t: Term, env: GlobalEnv) -> str:
@@ -79,29 +79,14 @@ def printer(env: Optional[GlobalEnv] = None) -> Callable[[Term], str]:
     ``_render``) across all the terms it prints, such as one trace's rows."""
     memo: Optional[dict[Term, Term]] = {} if env is not None else None
     cache: dict[tuple, tuple[Term, str]] = {}
-    return lambda t: _render(t, _BINDER, _Scope(), env, memo, cache)
-
-
-class _Scope(list):
-    """The binder names in scope, innermost first, with a count per name so
-    that ``_fresh`` tests a name in constant time."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.counts: dict[str, int] = {}
-
-    def push(self, name: str) -> None:
-        self.insert(0, name)
-        self.counts[name] = self.counts.get(name, 0) + 1
-
-    def drop(self) -> None:
-        self.counts[self.pop(0)] -= 1
+    return lambda t: _render(t, _BINDER, [], set(), env, memo, cache)
 
 
 def _render(
     t: Term,
     prec: int,
-    scope: _Scope,
+    scope: list[str],
+    names: set[str],
     env: Optional[GlobalEnv],
     memo: Optional[dict[Term, Term]],
     cache: Optional[dict[tuple, tuple[Term, str]]] = None,
@@ -113,7 +98,9 @@ def _render(
     ``Term`` equality, because equality ignores binder hints while printed
     names come from them; holding the node keeps its id from being reused.
     The key includes the scope because ``_fresh`` primes the node's binder
-    names against the enclosing ones.
+    names against the enclosing ones.  ``names`` holds the names in ``scope``
+    but ``_GONE``; they are distinct, as ``_fresh`` makes them, so a set
+    lets it test a name in constant time.
     """
 
     match t:
@@ -134,15 +121,15 @@ def _render(
             return hit[1]
 
     def rec(t: Term, prec: int) -> str:
-        return _render(t, prec, scope, env, memo, cache)
+        return _render(t, prec, scope, names, env, memo, cache)
 
     def rec_gone(t: Term, prec: int) -> str:
         """``t`` under a dropped binder; a closed ``t`` keeps its cache key."""
         if t.fa == 0:
             return rec(t, prec)
-        scope.push(_GONE)
+        scope.insert(0, _GONE)
         out = rec(t, prec)
-        scope.drop()
+        scope.pop(0)
         return out
 
     s, level = None, _ATOM
@@ -163,33 +150,39 @@ def _render(
                 head, args = spine(t)
                 s, level = " ".join([rec(head, _ATOM)] + [rec(a, _ATOM) for a in args]), _APP
             case Lam(hint, dom, body):
-                name = _fresh(hint, scope)
+                name = _fresh(hint, names)
                 dom_s = rec(dom, _BINDER)
-                scope.push(name)
+                scope.insert(0, name)
+                names.add(name)
                 body_s = rec(body, _BINDER)
-                scope.drop()
+                scope.pop(0)
+                names.discard(name)
                 s, level = f"fun ({name} : {dom_s}) => {body_s}", _BINDER
             case Pi(hint, dom, cod):
                 if not occurs(cod):
                     s, level = f"{rec(dom, _COMP)} -> {rec_gone(cod, _ARROW)}", _ARROW
                 else:
-                    name = _fresh(hint, scope)
+                    name = _fresh(hint, names)
                     dom_s = rec(dom, _BINDER)
-                    scope.push(name)
+                    scope.insert(0, name)
+                    names.add(name)
                     cod_s = rec(cod, _BINDER)
-                    scope.drop()
+                    scope.pop(0)
+                    names.discard(name)
                     if isinstance(dom, SortT) and dom.sort in (BOX, TRIANGLE):
                         s = f"Pi ({name} : {dom_s}) -> {cod_s}"
                     else:
                         s = f"forall ({name} : {dom_s}), {cod_s}"
                     level = _BINDER
             case Let(hint, ann, defn, body):
-                name = _fresh(hint, scope)
+                name = _fresh(hint, names)
                 ann_s = rec(ann, _BINDER)
                 defn_s = rec(defn, _BINDER)
-                scope.push(name)
+                scope.insert(0, name)
+                names.add(name)
                 body_s = rec(body, _BINDER)
-                scope.drop()
+                scope.pop(0)
+                names.discard(name)
                 s, level = f"let {name} : {ann_s} := {defn_s} in {body_s}", _BINDER
 
     out = f"({s})" if prec > level else s
@@ -198,8 +191,8 @@ def _render(
     return out
 
 
-def _fresh(hint: str, scope: _Scope) -> str:
+def _fresh(hint: str, names: set[str]) -> str:
     name = hint or "x"
-    while scope.counts.get(name):
+    while name in names:
         name += "'"
     return name

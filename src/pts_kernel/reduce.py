@@ -9,24 +9,25 @@ occurrence, the head one, of the head variable or constant by its binding,
 leaving the surrounding redex in place.  Its observable state is the readback
 that flattens pending spine substitutions.
 
-Head-def reduction and readback hold a state as a head and an argument stack
-(the Krivine machine's): a contraction, ``typecheck.contract_head`` as in
-conversion, pops the arguments it consumes and pushes its result's spine, so
-no step splits or rebuilds the whole application.  Loop search keys a state by
-the tuple of its head and arguments; only ``trace`` rows build the term.
+Head-def steps and readback hold a state as a head and an argument stack (the
+Krivine machine's): ``typecheck.contract_head`` pops the arguments a redex
+consumes, and the result's spine is pushed, so no step rebuilds the whole
+application.  Loop search keys a head-def state by the tuple ``(head, *args)``.
 
 Head-linear reduction runs on a resumable machine (``_LinearMachine``) that
 keeps a zipper on the head path: the nodes from the root to the tip, what
 each binder on the path is bound to, the arguments no binder has consumed
 yet, and the binder depth.  A step replaces the occurrence at the tip and
-leaves the path above it unchanged, so the next step resumes at the tip; the
-full state term is rebuilt only when a caller asks for it.  The machine also
-keeps the readback of its state up to date: while no unapplied ``fun`` lies
-on the path, a linear substitution leaves the readback unchanged, and a
-delta-unfold of ``c`` turns a readback ``c a1 .. an`` into ``readback(body a1
-.. an)``; otherwise it reads back the rebuilt state in full.  Each readback
-has its own contraction budget.  ``head_linear_step`` is one step of a fresh
-machine.
+leaves the path above it unchanged, so the next step resumes at the tip
+instead of walking down from the root; the full state term is rebuilt only
+when a caller asks for it (``trace`` does, loop search does not).  The
+machine also keeps the readback of its state up to date.  While no
+unapplied ``fun`` lies on the path, a linear substitution leaves the readback
+unchanged, and a delta-unfold of ``c`` turns a readback ``c a1 .. an`` into
+``readback(body a1 .. an)``.  Otherwise (an unapplied ``fun`` on the path,
+or a readback whose head is not ``c``) it reads back the rebuilt state in
+full.  Each readback has its own contraction budget.  ``head_linear_step`` is
+one step of a fresh machine.
 
 Erasure comes in two modes.  ``annotations`` drops binder annotations and
 turns type-level subterms (sorts and products in term position) into an opaque
@@ -131,8 +132,8 @@ def _head_def_event(
     env: GlobalEnv, head: Term, stack: list[Term]
 ) -> Optional[tuple[str, str, Term]]:
     """One head-def event on ``head`` applied to ``stack`` (innermost argument
-    last): its kind, its detail (for a ``fun`` chain, the arguments consumed)
-    and the new head, whose spine it unwinds onto ``stack``; or None."""
+    last), popping the arguments it consumes: its kind, its detail (for a
+    ``fun`` chain, how many it consumed) and its result; or None."""
     cls = type(head)
     if cls is Lam and stack:
         count = len(stack)
@@ -147,7 +148,7 @@ def _head_def_event(
         kind, (detail, new) = REWRITE_FIRE, fired
     else:
         return None
-    return kind, detail, unwind(new, stack)
+    return kind, detail, new
 
 
 class _LinearMachine:
@@ -288,16 +289,14 @@ def _walk(
 ) -> Iterator[tuple[tuple, object, Optional[tuple[int, int]]]]:
     """Step ``t`` at most ``limit`` times, yielding ``(step, key, loop)`` per step.
 
-    ``step`` is ``(kind, detail, term)``, detail and term None unless
-    ``rows``.  ``key`` is the observation of the new state: under head-linear
-    the readback of the machine's state; under head-def, whose state is a
-    head and an argument stack, the tuple ``(head, *stack)``, equal to
-    another exactly when the two applications are alpha-equal, as a head is
-    never an ``App``.  Observations are numbered from 0 at ``t``; a step that
-    leaves the state unchanged makes none.  ``loop`` is None until a step
-    revisits observation ``entry``, when it is ``(entry, period)`` and the
-    walk ends, as it does on a head-normal form.
-    """
+    ``step`` is ``(kind, detail, term)``, detail and term None unless ``rows``
+    (a head-def state term is built only then).  ``key`` is the observation of
+    the new state: the readback under head-linear; under head-def the tuple
+    ``(head, *stack)``, equal to another exactly when the two applications
+    are alpha-equal, since a head is never an ``App``.  Observations are
+    numbered from 0 at ``t``; a step that leaves the state unchanged makes
+    none.  ``loop`` is None until a step revisits observation ``entry``, when
+    it is ``(entry, period)`` and the walk ends, as on a head-normal form."""
     linear = strategy == HEAD_LINEAR
     if linear:
         machine = _LinearMachine(env, t)
@@ -321,9 +320,10 @@ def _walk(
             event = _head_def_event(env, head, stack)
             if event is None:
                 return
-            kind, detail, head = event
+            kind, detail, new = event
+            result = (kind, detail, app(new, *reversed(stack))) if rows else (kind, None, None)
+            head = unwind(new, stack)
             key = (head, *stack)
-            result = (kind, detail, app(head, *reversed(stack))) if rows else (kind, None, None)
         if key != prev_key:
             count = len(seen)
             entry = seen.setdefault(key, count)

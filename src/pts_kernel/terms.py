@@ -279,6 +279,16 @@ def subst(body: Term, value: Term, j: int = 0) -> Term:
     return instantiate(body, [value], j)
 
 
+def spine(t: Term) -> tuple[Term, list[Term]]:
+    """Decompose nested applications into (head, arguments-in-order)."""
+    args: list[Term] = []
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = t.fn
+    args.reverse()
+    return t, args
+
+
 def unwind(t: Term, stack: list[Term]) -> Term:
     """Push the arguments of ``t``'s application spine onto ``stack``,
     innermost last, and return its head, which is never an ``App``."""
@@ -286,14 +296,6 @@ def unwind(t: Term, stack: list[Term]) -> Term:
         stack.append(t.arg)
         t = t.fn
     return t
-
-
-def spine(t: Term) -> tuple[Term, list[Term]]:
-    """Decompose nested applications into (head, arguments-in-order)."""
-    args: list[Term] = []
-    head = unwind(t, args)
-    args.reverse()
-    return head, args
 
 
 def app(fn: Term, *args: Term) -> Term:

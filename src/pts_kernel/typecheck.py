@@ -132,16 +132,17 @@ def _head_reduce(
                     continue
             break
         break  # sorts, products, unapplied lambdas, free variables, holes
-    return app(t, *reversed(stack))
+    for a in reversed(stack):
+        t = App(t, a)
+    return t
 
 
 def contract_head(t: Term, stack: list[Term], fuel: Optional[Fuel] = None) -> Term:
-    """Contract the redex ``t``, a ``let`` or an applied ``fun``, against
-    ``stack`` (innermost argument last); the caller unwinds the result.  A
-    ``let`` substitutes its definition; a ``fun`` chain pops the arguments it
-    binds into one ``instantiate`` pass, going on while the result is a
-    ``fun`` and arguments remain.  ``fuel``, if any, is spent once for a
-    ``let`` and once per argument, before its pop."""
+    """Contract the redex ``t``, a ``let`` or a ``fun`` applied to ``stack``
+    (innermost argument last), and return the result.  A ``let`` substitutes
+    its definition; a ``fun`` chain pops the arguments it binds into one
+    ``instantiate`` pass, going on while the result is a ``fun`` and arguments
+    remain.  ``fuel``, if any, pays once per ``let`` and per argument, first."""
     if type(t) is Let:
         if fuel is not None:
             fuel.spend()
@@ -161,8 +162,7 @@ def contract_head(t: Term, stack: list[Term], fuel: Optional[Fuel] = None) -> Te
 def _try_rules(
     env: GlobalEnv, name: str, stack: list[Term], ctx: Ctx, fuel: Fuel
 ) -> Optional[tuple[str, Term]]:
-    """Fire the first rule for ``name`` matching ``stack`` (innermost argument
-    last): pop the arguments it consumes; return its name and right-hand side."""
+    """Fire the first rule for ``name`` that matches ``stack``; pop what it consumes."""
     rules = env.rules_for(name)
     if not rules:
         return None
