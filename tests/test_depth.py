@@ -1,0 +1,106 @@
+"""Terms nested 5000 deep through every pass that walks them.
+
+Three shapes: ``g (g (… a …))``, nested ``fun``s whose body reaches the
+outermost binder, and right-nested arrows.  Each is built as a kernel term
+directly and as source text, so parsing, elaboration, checking, tracing,
+erasure, display and unfolding are each checked against an answer that
+does not come from the parser.
+"""
+
+import pytest
+
+from pts_kernel.cli import run_program
+from pts_kernel.display import fold_display, plain_display
+from pts_kernel.env import unfold_all
+from pts_kernel.parser import elaborate, parse_term_surface
+from pts_kernel.reduce import ANNOTATIONS, HEAD_DEF, POLY, erase, trace
+from pts_kernel.terms import HOLE, App, Const, Lam, Pi, Var, alpha_eq
+
+DEPTH = 5000
+PRELUDE = (
+    "system lambda-hol.\nconst A : *.\nconst f : A -> A.\nconst a : A.\n"
+    "def g : A -> A := fun (x : A) => f x.\n"
+)
+A = Const("A")
+G_BODY = Lam("x", A, App(Const("f"), Var(0, "x")))  # what `g` unfolds to
+SHAPES = ["apps", "funs", "arrows"]
+
+
+def _source(shape):
+    """The shape as the printer writes it, and its type."""
+    if shape == "apps":
+        return "g (" * (DEPTH - 1) + "g a" + ")" * (DEPTH - 1), "A"
+    if shape == "funs":
+        binders = "".join(f"fun (x{i} : A) => " for i in range(DEPTH))
+        return binders + "g x0", "A -> " * DEPTH + "A"
+    return "A -> " * DEPTH + "A", "*"
+
+
+def _term(shape, g=Const("g"), dom=A):
+    """The shape as a kernel term, with ``g`` and the ``fun`` domains given."""
+    if shape == "apps":
+        t = App(g, Const("a"))
+        for _ in range(DEPTH - 1):
+            t = App(g, t)
+    elif shape == "funs":
+        t = App(g, Var(DEPTH - 1, "x0"))
+        for i in reversed(range(DEPTH)):
+            t = Lam(f"x{i}", dom, t)
+    else:
+        t = A
+        for _ in range(DEPTH):
+            t = Pi("_", A, t)
+    return t
+
+
+@pytest.fixture(scope="module")
+def env():
+    report = run_program(PRELUDE)
+    assert report.ok, report.render()
+    return report.env
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_check_at_depth(shape):
+    src, ty = _source(shape)
+    # Nested funs go in a definition, which is checked one binder at a time;
+    # a `check` directive infers each binder's type anew, quadratic in depth.
+    line = f"def h : {ty}" if shape == "funs" else f"check {src} : {ty}"
+    directive = f"def h : {ty} := {src}" if shape == "funs" else line
+    report = run_program(PRELUDE + directive + ".\n")
+    assert report.ok, report.render()[-200:]
+    assert report.lines[-1].text == line
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_parse_and_display_at_depth(shape, env):
+    src, _ = _source(shape)
+    t = _term(shape)
+    assert alpha_eq(elaborate(parse_term_surface(src), env), t)
+    assert fold_display(t, env) == src
+    assert plain_display(t) == src
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_unfold_all_at_depth(shape, env):
+    assert alpha_eq(unfold_all(env, _term(shape)), _term(shape, g=G_BODY))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_erase_at_depth(shape, env):
+    expected = HOLE if shape == "arrows" else _term(shape, dom=HOLE)
+    for mode in (ANNOTATIONS, POLY):
+        assert alpha_eq(erase(_term(shape), mode, env), expected)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_trace_at_depth(shape, env):
+    src, _ = _source(shape)
+    tr = trace(env, _term(shape), HEAD_DEF, 5)
+    assert tr.stopped == "head-normal"
+    rows = tr.displays
+    if shape == "apps":
+        # One head-def step unfolds the outer `g` and contracts its body.
+        assert rows == [src, f"f ({src[3:-1]})"]
+    else:
+        assert rows == [src]

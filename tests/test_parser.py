@@ -1,4 +1,5 @@
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,9 @@ from pts_kernel.cli import run_program
 from pts_kernel.errors import ParseError
 from pts_kernel.parser import elaborate, parse_program, parse_term_surface, tokenize
 from pts_kernel.terms import App, Const, Lam, Pi, Var, alpha_eq
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _term(src, env):
@@ -44,7 +48,7 @@ CORPUS_TOKEN_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(CORPUS_TOKEN_DIGESTS))
 def test_corpus_tokens_are_pinned(name):
-    src = (Path(__file__).resolve().parent.parent / "corpus" / name).read_text(encoding="utf-8")
+    src = (CORPUS / name).read_text(encoding="utf-8")
     lines = "\n".join(f"{k} {text} {line}:{col}" for k, text, line, col in _tokens(src))
     count, digest = CORPUS_TOKEN_DIGESTS[name]
     assert (len(lines.splitlines()), hashlib.sha256(lines.encode()).hexdigest()) == (count, digest)
@@ -273,3 +277,79 @@ def test_rewrite_pattern_errors_report_the_directive_position(rule, message):
 def test_every_failure_reports_a_kind(src, kind):
     report = run_program(src)
     assert report.error is not None and report.error.kind == kind
+
+
+# -- token-level mutants -------------------------------------------------------
+#
+# Seeded mutants of the corpus files and of a file that uses every directive
+# kind, each deleting, duplicating, swapping or replacing one token.  The
+# digest covers each mutant's report and error kind, so it pins every parse
+# error's message and position as well as the verdicts of mutants that parse.
+
+EVERY_DIRECTIVE = """-- every directive kind, in a system declared here
+system custom.
+axiom * : #.
+axiom # : ##.
+rule * * : *.
+rule # * : *.
+rule # # : #.
+const A : *.
+const f : A -> A.
+const a : A.
+def id : A -> A := fun (x : A) => x.
+def twice : A -> A := f∘f.
+def k : Pi (B : *) -> B -> A -> B := fun (B : *) (b : B) (y : A) => b.
+rewrite ff : f (f $x) => $x.
+check let y : A := a in id y : A.
+check forall (B : *), B -> B : *.
+conv (twice a) (a).
+trace (k A (twice a) (id a)) 4.
+"""
+MUTANTS_PER_SOURCE = 40
+
+
+def _mutant_sources():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.pts"))}
+    sources["every-directive.pts"] = EVERY_DIRECTIVE
+    return sources
+
+
+def _mutants(name, src):
+    """``MUTANTS_PER_SOURCE`` seeded one-token edits of ``src``."""
+    starts = [0]
+    for line in src.split("\n"):
+        starts.append(starts[-1] + len(line) + 1)
+    # (offset, spelling) per token; a metavariable's spelling keeps its `$`.
+    spans = []
+    for t in tokenize(src)[:-1]:
+        at = starts[t.line - 1] + t.col - 1
+        spans.append((at, src[at : at + len(t.text) + (t.kind == "meta")]))
+    rng = random.Random(name)
+    for _ in range(MUTANTS_PER_SOURCE):
+        j = rng.randrange(len(spans) - 1)
+        (at, text), (at2, text2) = spans[j], spans[j + 1]
+        edit = rng.choice(("delete", "duplicate", "swap", "replace"))
+        if edit == "delete":
+            yield src[:at] + src[at + len(text) :]
+        elif edit == "duplicate":
+            yield src[:at] + text + " " + src[at:]
+        elif edit == "swap":
+            yield src[:at] + text2 + src[at + len(text) : at2] + text + src[at2 + len(text2) :]
+        else:
+            yield src[:at] + rng.choice(spans)[1] + src[at + len(text) :]
+
+
+def _mutant_digest(name, src):
+    h = hashlib.sha256()
+    for mutant in _mutants(name, src):
+        report = run_program(mutant)
+        kind = report.error.kind if report.error is not None else "-"
+        h.update(f"{report.render()}\n{kind}\n".encode())
+    return h.hexdigest()
+
+
+def test_token_mutants_keep_their_reports():
+    got = "".join(
+        f"{_mutant_digest(name, src)}  {name}\n" for name, src in _mutant_sources().items()
+    )
+    assert got == (GOLDEN / "parse-mutants.sha256").read_text(encoding="utf-8")
