@@ -10,6 +10,13 @@ re-parses:
     app    := atom atom*
     atom   := name | $name | * | # | ## | ( term )
 
+``tokenize`` makes one regular-expression match per token.  ``_Parser.term``
+reads a term in one loop: a binder head, ``->`` and ``∘`` each push a frame
+that the rest of the term fills, an application's atoms are read in a loop,
+and the frames close when the term ends.  Only ``( term )``, binder domains
+and ``let`` parts recurse, at two frames (``term``, ``_atom``) per level of
+parentheses.
+
 Directives end with a period: ``system``, ``axiom``, ``rule``, ``const``,
 ``def``, ``rewrite``, ``check``, ``conv``, ``trace``.  Comments run from
 ``--`` to end of line.  Composition ``g∘f`` elaborates to
@@ -31,13 +38,17 @@ KEYWORDS = frozenset(
     "fun forall Pi let in const def rewrite check conv trace system axiom rule".split()
 )
 _IDENT = r"[\w'⊥¬]"  # \w is str.isalnum() plus underscore
-# One alternative per token class, tried in order; `--` wins over `->`, and an
-# interior hyphen joins name parts (system names) only before a name character.
+# One match per token of a line: group 1 takes the blanks before the token
+# and a comment, which runs to the end of the line, and exactly one later group
+# (m.lastindex) the token itself, or none at the end of the line.  `--` wins
+# over `->`, and an interior hyphen joins name parts (system names) only
+# before a name character.
 _TOKEN = re.compile(
-    rf"(?P<space>\s+)|(?P<comment>--[^\n]*)|(?P<sort>##|[*#])|(?P<punct>:=|=>|->|[():,.∘])"
-    rf"|\$(?P<meta>{_IDENT}*)|(?P<name>{_IDENT}+(?:-{_IDENT}+)*)|(?P<bad>.)",
-    re.S,
+    rf"(\s*(?:--.*)?)(?:({_IDENT}+(?:-{_IDENT}+)*)|(:=|=>|->|[():,.∘])|(##|[*#])"
+    rf"|\$({_IDENT}*)|(.)|\Z)"
 )
+_KINDS = (None, "eof", "name", "punct", "sort", "meta", "bad")
+_new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
 
 
 class Token(NamedTuple):
@@ -48,31 +59,26 @@ class Token(NamedTuple):
 
 
 def tokenize(src: str) -> list[Token]:
+    """Tokens line by line: no token spans a newline, so a token's column is
+    its offset in the line plus one and blanks need no counting."""
     toks: list[Token] = []
-    line, col = 1, 1
-    for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        text = m[kind]
-        if kind == "space" or kind == "comment":  # a comment stops at the newline
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                col = len(text) - text.rindex("\n")
+    append = toks.append
+    for line, text_line in enumerate(src.split("\n"), 1):
+        for m in _TOKEN.finditer(text_line):
+            group = m.lastindex
+            if group == 1:  # the end of the line
+                break
+            text = m[group]
+            if group == 2:
+                kind = "kw" if text in KEYWORDS else "number" if text.isdigit() else "name"
             else:
-                col += len(text)
-            continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", line, col)
-        if kind == "meta" and not text:
-            raise ParseError("empty metavariable name", line, col)
-        if kind == "name":
-            if text.isdigit():
-                kind = "number"
-            elif text in KEYWORDS:
-                kind = "kw"
-        toks.append(Token(kind, text, line, col))
-        col += m.end() - m.start()
-    toks.append(Token("eof", "", line, col))
+                kind = _KINDS[group]
+                if kind == "bad":
+                    raise ParseError(f"unexpected character {text!r}", line, m.end(1) + 1)
+                if kind == "meta" and not text:
+                    raise ParseError("empty metavariable name", line, m.end(1) + 1)
+            append(_new(Token, (kind, text, line, m.end(1) + 1)))
+    append(Token("eof", "", line, len(text_line) + 1))
     return toks
 
 
@@ -80,52 +86,52 @@ def tokenize(src: str) -> list[Token]:
 # Surface syntax
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SName:
     name: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SMeta:
     name: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SSort:
     token: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SApp:
     fn: "Surface"
     arg: "Surface"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SLam:
     name: str
     dom: "Surface"
     body: "Surface"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SPi:
     name: str
     dom: "Surface"
     cod: "Surface"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SArrow:
     dom: "Surface"
     cod: "Surface"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SLet:
     name: str
     ann: "Surface"
@@ -133,7 +139,7 @@ class SLet:
     body: "Surface"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SComp:
     g: "Surface"
     f: "Surface"
@@ -153,13 +159,14 @@ class Directive:
     col: int
 
 
+# Binder head -> (constructor of each (x : T) group, separator before the body)
+_BINDERS = {"fun": (SLam, "=>"), "forall": (SPi, ","), "Pi": (SPi, "->"), "let": (SLet, "in")}
+
+
 class _Parser:
     def __init__(self, toks: list[Token]) -> None:
         self.toks = toks
         self.pos = 0
-
-    def peek(self) -> Token:
-        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -167,83 +174,93 @@ class _Parser:
         return t
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != kind or (text is not None and t.text != text):
             want = text or kind
             raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.col)
-        return self.next()
-
-    def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
+        self.pos += 1
+        return t
 
     # -- terms --------------------------------------------------------------
 
     def term(self) -> Surface:
-        t = self.peek()
-        if t.kind == "kw" and t.text in ("fun", "forall", "Pi", "let"):
-            return self._binder()
-        return self._arrow()
+        """A term in one loop (see the module docstring).  A ``->`` first
+        closes the ``∘`` frames above it, since composition binds tighter,
+        and after a ``∘`` only an application may follow."""
+        toks = self.toks
+        pos = self.pos
+        frames: list[tuple] = []  # (constructor, fields before the one the rest fills)
+        binder_ok = True
+        while True:
+            kind, text, line, col = toks[pos]
+            if kind == "kw" and binder_ok and text in _BINDERS:
+                self.pos = pos + 1
+                self._binder_head(text, frames)
+                pos = self.pos
+                continue
+            left = None
+            while True:  # an application: one atom, then atoms while they come
+                kind, text, line, col = toks[pos]
+                if kind == "name":
+                    pos += 1
+                    atom: Surface = SName(text, line, col)
+                elif kind in ("meta", "sort") or text == "(" and kind == "punct" or left is None:
+                    self.pos = pos
+                    atom = self._atom()
+                    pos = self.pos
+                else:
+                    break
+                left = atom if left is None else SApp(left, atom)
+            if kind != "punct":
+                break
+            if text == "∘":
+                frames.append((SComp, left, line, col))
+                binder_ok = False
+            elif text == "->":
+                while frames and frames[-1][0] is SComp:
+                    _, g, cline, ccol = frames.pop()
+                    left = SComp(g, left, cline, ccol)
+                frames.append((SArrow, left))
+                binder_ok = True
+            else:
+                break
+            pos += 1
+        self.pos = pos
+        for frame in reversed(frames):
+            if frame[0] is SComp:
+                left = SComp(frame[1], left, frame[2], frame[3])
+            else:
+                left = frame[0](*frame[1:], left)
+        return left
 
-    def _binder(self) -> Surface:
-        t = self.next()
-        if t.text == "let":
+    def _binder_head(self, word: str, frames: list[tuple]) -> None:
+        """Push the frames of a binder head, up to its body."""
+        if word == "let":
             name = self.expect("name").text
             self.expect("punct", ":")
             ann = self.term()
             self.expect("punct", ":=")
             defn = self.term()
             self.expect("kw", "in")
-            body = self.term()
-            return SLet(name, ann, defn, body)
-        groups: list[tuple[str, Surface]] = []
-        while self.at_punct("("):
-            self.next()
+            frames.append((SLet, name, ann, defn))
+            return
+        make, separator = _BINDERS[word]
+        toks = self.toks
+        groups = 0
+        while toks[self.pos].text == "(" and toks[self.pos].kind == "punct":
+            self.pos += 1
             name = self.next()
             if name.kind not in ("name", "kw"):
                 raise ParseError("expected binder name", name.line, name.col)
             self.expect("punct", ":")
             dom = self.term()
             self.expect("punct", ")")
-            groups.append((name.text, dom))
+            frames.append((make, name.text, dom))
+            groups += 1
         if not groups:
-            p = self.peek()
-            raise ParseError(f"{t.text} needs at least one (x : T) binder", p.line, p.col)
-        if t.text == "fun":
-            self.expect("punct", "=>")
-        elif t.text == "forall":
-            self.expect("punct", ",")
-        else:
-            self.expect("punct", "->")
-        body = self.term()
-        for name, dom in reversed(groups):
-            body = SLam(name, dom, body) if t.text == "fun" else SPi(name, dom, body)
-        return body
-
-    def _arrow(self) -> Surface:
-        left = self._comp()
-        if self.at_punct("->"):
-            self.next()
-            return SArrow(left, self.term())
-        return left
-
-    def _comp(self) -> Surface:
-        left = self._app()
-        if self.at_punct("∘"):
-            op = self.next()
-            return SComp(left, self._comp(), op.line, op.col)
-        return left
-
-    def _app(self) -> Surface:
-        t = self._atom()
-        while True:
-            nxt = self.peek()
-            if nxt.kind in ("name", "meta", "sort") or (
-                nxt.kind == "punct" and nxt.text == "("
-            ):
-                t = SApp(t, self._atom())
-            else:
-                return t
+            p = toks[self.pos]
+            raise ParseError(f"{word} needs at least one (x : T) binder", p.line, p.col)
+        self.expect("punct", separator)
 
     def _atom(self) -> Surface:
         t = self.next()
@@ -263,65 +280,49 @@ class _Parser:
 
     def directives(self) -> list[Directive]:
         out = []
-        while self.peek().kind != "eof":
+        while self.toks[self.pos].kind != "eof":
             out.append(self._directive())
         return out
 
     def _directive(self) -> Directive:
-        t = self.peek()
+        t = self.next()
         if t.kind != "kw":
             raise ParseError(f"expected a directive, found {t.text!r}", t.line, t.col)
-        self.next()
-        kind = t.text
+        kind, name, parts = t.text, "", ()
         if kind == "system":
-            name = self.next()
-            if name.kind not in ("name", "kw"):
-                raise ParseError("expected system name", name.line, name.col)
-            parts: tuple = ()
-            d = Directive(kind, name.text, parts, t.line, t.col)
+            word = self.next()
+            if word.kind not in ("name", "kw"):
+                raise ParseError("expected system name", word.line, word.col)
+            name = word.text
         elif kind == "axiom":
             s1 = self.expect("sort").text
             self.expect("punct", ":")
-            s2 = self.expect("sort").text
-            d = Directive(kind, "", (s1, s2), t.line, t.col)
+            parts = (s1, self.expect("sort").text)
         elif kind == "rule":
             s1 = self.expect("sort").text
             s2 = self.expect("sort").text
             self.expect("punct", ":")
-            s3 = self.expect("sort").text
-            d = Directive(kind, "", (s1, s2, s3), t.line, t.col)
-        elif kind == "const":
+            parts = (s1, s2, self.expect("sort").text)
+        elif kind in ("const", "def", "rewrite"):
             name = self.expect("name").text
             self.expect("punct", ":")
-            d = Directive(kind, name, (self.term(),), t.line, t.col)
-        elif kind == "def":
-            name = self.expect("name").text
-            self.expect("punct", ":")
-            ty = self.term()
-            self.expect("punct", ":=")
-            d = Directive(kind, name, (ty, self.term()), t.line, t.col)
-        elif kind == "rewrite":
-            name = self.expect("name").text
-            self.expect("punct", ":")
-            lhs = self.term()
-            self.expect("punct", "=>")
-            d = Directive(kind, name, (lhs, self.term()), t.line, t.col)
+            parts = (self.term(),)
+            if kind != "const":
+                self.expect("punct", ":=" if kind == "def" else "=>")
+                parts += (self.term(),)
         elif kind == "check":
             tm = self.term()
             self.expect("punct", ":")
-            d = Directive(kind, "", (tm, self.term()), t.line, t.col)
+            parts = (tm, self.term())
         elif kind == "conv":
-            a = self._atom()
-            b = self._atom()
-            d = Directive(kind, "", (a, b), t.line, t.col)
+            parts = (self._atom(), self._atom())
         elif kind == "trace":
             tm = self._atom()
-            steps = self.expect("number")
-            d = Directive(kind, "", (tm, int(steps.text)), t.line, t.col)
+            parts = (tm, int(self.expect("number").text))
         else:
             raise ParseError(f"{kind!r} cannot start a directive", t.line, t.col)
         self.expect("punct", ".")
-        return d
+        return Directive(kind, name, parts, t.line, t.col)
 
 
 def parse_term_surface(src: str) -> Surface:
@@ -354,47 +355,43 @@ def elaborate(
     meta_hints = [hint for hint, _, _ in metas]
 
     def go(s: Surface, scope: list[str], ctx: Ctx) -> Term:
-        match s:
-            case SName(name, line, col):
-                if name in scope:
-                    i = scope.index(name)
-                    return Var(i, name)
-                if name in env:
-                    return _const_ref(env, name, line, col)
-                raise ParseError(f"unknown name {name}", line, col)
-            case SMeta(name, line, col):
-                if name not in meta_hints:
-                    raise ParseError(f"metavariable ${name} not allowed here", line, col)
-                return Var(len(scope) + meta_hints.index(name), name)
-            case SSort(token):
-                return SortT(SORT_BY_TOKEN[token])
-            case SApp(f, a):
-                return App(go(f, scope, ctx), go(a, scope, ctx))
-            case SLam(name, dom, body):
-                d = go(dom, scope, ctx)
-                return Lam(name, d, go(body, [name] + scope, push(ctx, name, d)))
-            case SPi(name, dom, cod):
-                d = go(dom, scope, ctx)
-                return Pi(name, d, go(cod, [name] + scope, push(ctx, name, d)))
-            case SArrow(dom, cod):
-                return Pi("_", go(dom, scope, ctx), shift(go(cod, scope, ctx), 1))
-            case SLet(name, ann, defn, body):
-                a = go(ann, scope, ctx)
-                dfn = go(defn, scope, ctx)
-                return Let(name, a, dfn, go(body, [name] + scope, push(ctx, name, a, dfn)))
-            case SComp(gs, fs, line, col):
-                g = go(gs, scope, ctx)
-                f = go(fs, scope, ctx)
-                return _expand_composition(env, g, f, scope, ctx + metas, line, col)
-        raise AssertionError("unreachable surface node")
+        cls = type(s)
+        if cls is SName:
+            name = s.name
+            if name in scope:
+                return Var(scope.index(name), name)
+            try:
+                entry = env.lookup(name)
+            except TypeCheckError:
+                raise ParseError(f"unknown name {name}", s.line, s.col) from None
+            if isinstance(entry, Rewrite):
+                raise ParseError(f"{name} names a rewrite rule, not a term", s.line, s.col)
+            return Const(name)
+        if cls is SApp:
+            return App(go(s.fn, scope, ctx), go(s.arg, scope, ctx))
+        if cls is SArrow:
+            return Pi("_", go(s.dom, scope, ctx), shift(go(s.cod, scope, ctx), 1))
+        if cls is SLam or cls is SPi:
+            name = s.name
+            d = go(s.dom, scope, ctx)
+            body = go(s.body if cls is SLam else s.cod, [name] + scope, push(ctx, name, d))
+            return (Lam if cls is SLam else Pi)(name, d, body)
+        if cls is SSort:
+            return SortT(SORT_BY_TOKEN[s.token])
+        if cls is SMeta:
+            if s.name not in meta_hints:
+                raise ParseError(f"metavariable ${s.name} not allowed here", s.line, s.col)
+            return Var(len(scope) + meta_hints.index(s.name), s.name)
+        if cls is SLet:
+            name = s.name
+            a = go(s.ann, scope, ctx)
+            dfn = go(s.defn, scope, ctx)
+            return Let(name, a, dfn, go(s.body, [name] + scope, push(ctx, name, a, dfn)))
+        g = go(s.g, scope, ctx)  # SComp
+        f = go(s.f, scope, ctx)
+        return _expand_composition(env, g, f, scope, ctx + metas, s.line, s.col)
 
     return go(s, scope, ctx)
-
-
-def _const_ref(env: GlobalEnv, name: str, line: int, col: int) -> Term:
-    if isinstance(env.lookup(name), Rewrite):
-        raise ParseError(f"{name} names a rewrite rule, not a term", line, col)
-    return Const(name)
 
 
 def _expand_composition(

@@ -300,14 +300,13 @@ def _walk(
     linear = strategy == HEAD_LINEAR
     if linear:
         machine = _LinearMachine(env, t)
-        prev_key: object = machine.observation()
+        seen = {machine.observation(): 0}
     elif strategy == HEAD_DEF:
         stack: list[Term] = []
         head = unwind(t, stack)
-        prev_key = (head, *stack)
+        seen = {(head, *stack): 0}
     else:
         raise KernelError(f"unknown strategy {strategy!r}")
-    seen = {prev_key: 0}
     for _ in range(limit):
         result: tuple
         if linear:
@@ -324,13 +323,13 @@ def _walk(
             result = (kind, detail, app(new, *reversed(stack))) if rows else (kind, None, None)
             head = unwind(new, stack)
             key = (head, *stack)
-        if key != prev_key:
-            count = len(seen)
-            entry = seen.setdefault(key, count)
-            if entry != count:
-                yield result, key, (entry, count - entry)
-                return
-            prev_key = key
+        # The last observation holds number count - 1: meeting it again means
+        # the state is unchanged, meeting an older one closes a loop.
+        count = len(seen)
+        entry = seen.setdefault(key, count)
+        if entry < count - 1:
+            yield result, key, (entry, count - entry)
+            return
         yield result, key, None
 
 

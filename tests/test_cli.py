@@ -108,8 +108,8 @@ def test_zero_counts_are_allowed(capsys):
     assert capsys.readouterr().out == "l₂ p₀ l₂ l₁\n"
 
 
-def test_deep_nesting_is_refused_without_traceback(tmp_path):
-    depth = 20000
+def _check_nested(tmp_path, depth):
+    """`pts check`, in a child process, of `check f (… (f a) …) : A` nested `depth` deep."""
     f = tmp_path / "deep.pts"
     f.write_text(
         "const A : *.\nconst f : A -> A.\nconst a : A.\n"
@@ -118,10 +118,24 @@ def test_deep_nesting_is_refused_without_traceback(tmp_path):
     )
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "pts_kernel", "check", str(f)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_nesting_20000_deep_checks(tmp_path):
+    depth = 20000
+    proc = _check_nested(tmp_path, depth)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "ok    const A : *\nok    const f : A -> A\nok    const a : A\n"
+        f"ok    check {'f (' * (depth - 1)}f a{')' * (depth - 1)} : A\n"
+    )
+
+
+def test_deep_nesting_is_refused_without_traceback(tmp_path):
+    proc = _check_nested(tmp_path, 100000)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "nests too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
