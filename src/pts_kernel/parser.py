@@ -159,7 +159,7 @@ class Directive:
     col: int
 
 
-# Binder head -> (constructor of each (x : T) group, separator before the body)
+# Binder head -> (its frames' constructor, the token before its body)
 _BINDERS = {"fun": (SLam, "=>"), "forall": (SPi, ","), "Pi": (SPi, "->"), "let": (SLet, "in")}
 
 
@@ -235,16 +235,16 @@ class _Parser:
 
     def _binder_head(self, word: str, frames: list[tuple]) -> None:
         """Push the frames of a binder head, up to its body."""
+        make, separator = _BINDERS[word]
         if word == "let":
             name = self.expect("name").text
             self.expect("punct", ":")
             ann = self.term()
             self.expect("punct", ":=")
             defn = self.term()
-            self.expect("kw", "in")
-            frames.append((SLet, name, ann, defn))
+            self.expect("kw", separator)
+            frames.append((make, name, ann, defn))
             return
-        make, separator = _BINDERS[word]
         toks = self.toks
         groups = 0
         while toks[self.pos].text == "(" and toks[self.pos].kind == "punct":

@@ -300,13 +300,14 @@ def _walk(
     linear = strategy == HEAD_LINEAR
     if linear:
         machine = _LinearMachine(env, t)
-        seen = {machine.observation(): 0}
+        key: object = machine.observation()
     elif strategy == HEAD_DEF:
         stack: list[Term] = []
         head = unwind(t, stack)
-        seen = {(head, *stack): 0}
+        key = (head, *stack)
     else:
         raise KernelError(f"unknown strategy {strategy!r}")
+    seen = {key: 0}
     for _ in range(limit):
         result: tuple
         if linear:
