@@ -16,6 +16,7 @@ equalities holding by plain beta-delta conversion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -34,21 +35,20 @@ from .typecheck import check, convert
 
 @dataclass
 class ReportLine:
-    """One judgment of a report.  ``parts`` are strings and terms; the terms
-    are rendered by ``show`` against ``env``, the environment of the line's
-    directive, when the text is first read."""
+    """One judgment of a report.  ``parts`` are strings and terms; ``show``
+    renders the terms, against the environment of the line's directive,
+    when the text is first read."""
 
     ok: bool
     parts: tuple
-    env: Optional[GlobalEnv] = None
-    show: Optional[Callable[[Term, GlobalEnv], str]] = None
+    show: Optional[Callable[[Term], str]] = None
 
     @property
     def text(self) -> str:
-        if self.env is not None:
-            show, env = self.show, self.env
-            self.parts = tuple(p if isinstance(p, str) else show(p, env) for p in self.parts)
-            self.env = None
+        if self.show is not None:
+            show = self.show
+            self.parts = tuple(p if isinstance(p, str) else show(p) for p in self.parts)
+            self.show = None
         return "".join(self.parts)
 
 
@@ -92,8 +92,8 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
     started = False
 
     def say(ok: bool, *parts: object, show: Optional[Callable] = None) -> None:
-        show = show or (raw_display if raw else fold_display)
-        report.lines.append(ReportLine(ok, parts, env, show))
+        show = show or partial(raw_display if raw else fold_display, env=env)
+        report.lines.append(ReportLine(ok, parts, show))
 
     for d in directives:
         try:
@@ -152,9 +152,8 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
                 t = elaborate(d.parts[0], env)
                 tr = trace(env, t, HEAD_DEF, d.parts[1])
                 say(True, "trace ", t, f" [{tr.stopped}]")
-                rows = lambda row, _env, show=tr.show: show(row)  # folded even in a raw report
                 for row in [tr.start] + [s.raw for s in tr.steps]:
-                    say(True, "  ", row, show=rows)
+                    say(True, "  ", row, show=tr.show)  # folded even in a raw report
         except KernelError as err:
             report.error = err
             report.failed_entry = d.name or d.kind

@@ -15,12 +15,14 @@ binder that ``terms.occurs`` finds unused; ``g``, ``f`` and ``B`` print as
 they stand, in a scope whose slot for that binder is a placeholder no name
 equals.
 
-``fold_display`` and ``plain_display`` print one term from scratch.  A trace
-prints its rows through a ``printer`` that lives as long as the trace and
-shares work between them: one unfolding memo, and a cache of the strings of
-closed non-leaf subterms keyed by node identity, precedence and the binder
-names in scope.  Consecutive rows share most of their nodes, so each row
-costs about what changed since the one before.
+All printing goes through one ``_Printer``: its ``render(t, prec)`` method
+prints a node, and its ``_under`` helper prints a body under a named binder.
+``fold_display`` and ``plain_display`` print one term with a fresh printer.
+A trace prints its rows through a ``printer`` that lives as long as the
+trace and shares work between them: one unfolding memo, and a cache of the
+strings of closed non-leaf subterms keyed by node identity, precedence and
+the binder names in scope.  Consecutive rows share most of their nodes, so
+each row costs about what changed since the one before.
 """
 
 from __future__ import annotations
@@ -60,12 +62,12 @@ def match_composition(t: Term) -> Optional[tuple[Term, Term]]:
 
 def fold_display(t: Term, env: Optional[GlobalEnv] = None) -> str:
     """Print ``t`` with maximal re-folding against ``env``'s definitions."""
-    return _render(t, _BINDER, [], set(), env, {})
+    return _Printer(env, True).show(t)
 
 
 def plain_display(t: Term) -> str:
     """Print ``t`` with no re-folding and no notations."""
-    return _render(t, _BINDER, [], set(), None, None)
+    return _Printer(None, False).show(t)
 
 
 def raw_display(t: Term, env: GlobalEnv) -> str:
@@ -76,119 +78,110 @@ def raw_display(t: Term, env: GlobalEnv) -> str:
 def printer(env: Optional[GlobalEnv] = None) -> Callable[[Term], str]:
     """Print like ``fold_display(t, env)``, or like ``plain_display(t)`` when
     ``env`` is None, sharing one unfolding memo and one string cache (see
-    ``_render``) across all the terms it prints, such as one trace's rows."""
-    memo: Optional[dict[Term, Term]] = {} if env is not None else None
-    cache: dict[tuple, tuple[Term, str]] = {}
-    return lambda t: _render(t, _BINDER, [], set(), env, memo, cache)
+    ``_Printer``) across all the terms it prints, such as one trace's rows."""
+    return _Printer(env, env is not None, {}).show
 
 
-def _render(
-    t: Term,
-    prec: int,
-    scope: list[str],
-    names: set[str],
-    env: Optional[GlobalEnv],
-    memo: Optional[dict[Term, Term]],
-    cache: Optional[dict[tuple, tuple[Term, str]]] = None,
-) -> str:
-    """``memo`` shares unfoldings between folded displays; None prints plainly.
+class _Printer:
+    """Prints terms: ``fold`` turns on ``g∘f`` and, given ``env``, constant
+    folding through ``memo``, the unfoldings computed so far.
 
-    ``cache`` maps ``(id(node), prec, tuple(scope))`` of a closed non-leaf
-    node to the node and its string.  The key is the node's identity, not
-    ``Term`` equality, because equality ignores binder hints while printed
-    names come from them; holding the node keeps its id from being reused.
-    The key includes the scope because ``_fresh`` primes the node's binder
-    names against the enclosing ones.  ``names`` holds the names in ``scope``
-    but ``_GONE``; they are distinct, as ``_fresh`` makes them, so a set
-    lets it test a name in constant time.
+    ``cache``, if any, maps ``(id(node), prec, tuple(scope))`` of a closed
+    non-leaf node to the node and its string.  The key is the node's
+    identity, not ``Term`` equality, because equality ignores binder hints
+    while printed names come from them; holding the node keeps its id from
+    being reused.  The key includes the scope because ``_fresh`` primes the
+    node's binder names against the enclosing ones.  ``scope`` holds the
+    binder names innermost first, and ``names`` those but ``_GONE``; they
+    are distinct, as ``_fresh`` makes them, so a set tests one in O(1).
     """
 
-    match t:
-        case SortT(s):
-            return s.token
-        case Const(name):
-            return name
-        case Var(i, hint):
-            if i < len(scope):
-                return scope[i]
-            return hint or f"?{i - scope.count(_GONE)}"  # as if dropped binders were gone
+    __slots__ = ("env", "fold", "memo", "cache", "scope", "names")
 
-    key = None
-    if cache is not None and t.fa == 0:
-        key = (id(t), prec, tuple(scope))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit[1]
+    def __init__(self, env: Optional[GlobalEnv], fold: bool, cache: Optional[dict] = None) -> None:
+        self.env, self.fold, self.cache = env, fold, cache
+        self.memo: dict[Term, Term] = {}
+        self.scope: list[str] = []
+        self.names: set[str] = set()
 
-    def rec(t: Term, prec: int) -> str:
-        return _render(t, prec, scope, names, env, memo, cache)
+    def show(self, t: Term) -> str:
+        return self.render(t, _BINDER)
 
-    def rec_gone(t: Term, prec: int) -> str:
-        """``t`` under a dropped binder; a closed ``t`` keeps its cache key."""
-        if t.fa == 0:
-            return rec(t, prec)
-        scope.insert(0, _GONE)
-        out = rec(t, prec)
-        scope.pop(0)
-        return out
+    def render(self, t: Term, prec: int) -> str:
+        cls = type(t)
+        if cls is Var:
+            scope = self.scope
+            if t.index < len(scope):
+                return scope[t.index]
+            return t.hint or f"?{t.index - scope.count(_GONE)}"  # as if dropped binders were gone
+        if cls is Const:
+            return t.name
+        if cls is SortT:
+            return t.sort.token
 
-    s, level = None, _ATOM
-    if memo is not None:
-        comp = match_composition(t)
-        if comp is not None:
-            g, f = comp
-            s, level = f"{rec_gone(g, _APP)}∘{rec_gone(f, _APP)}", _COMP
-        elif env is not None and t.fa == 0:
-            try:
-                s = env.fold_name(unfold_all(env, t, memo))
-            except TypeCheckError:  # a name outside env: no definition unfolds to it
-                pass
+        cache, key = self.cache, None
+        if cache is not None and t.fa == 0:
+            key = (id(t), prec, tuple(self.scope))
+            hit = cache.get(key)
+            if hit is not None:
+                return hit[1]
 
-    if s is None:
-        match t:
-            case App(_, _):
+        s, level = None, _ATOM
+        if self.fold:
+            comp = match_composition(t)
+            if comp is not None:
+                s, level = f"{self._gone(comp[0], _APP)}∘{self._gone(comp[1], _APP)}", _COMP
+            elif self.env is not None and t.fa == 0:
+                try:
+                    s = self.env.fold_name(unfold_all(self.env, t, self.memo))
+                except TypeCheckError:  # a name outside env: no definition unfolds to it
+                    pass
+
+        if s is None:
+            render = self.render
+            if cls is App:
                 head, args = spine(t)
-                s, level = " ".join([rec(head, _ATOM)] + [rec(a, _ATOM) for a in args]), _APP
-            case Lam(hint, dom, body):
-                name = _fresh(hint, names)
-                dom_s = rec(dom, _BINDER)
-                scope.insert(0, name)
-                names.add(name)
-                body_s = rec(body, _BINDER)
-                scope.pop(0)
-                names.discard(name)
-                s, level = f"fun ({name} : {dom_s}) => {body_s}", _BINDER
-            case Pi(hint, dom, cod):
-                if not occurs(cod):
-                    s, level = f"{rec(dom, _COMP)} -> {rec_gone(cod, _ARROW)}", _ARROW
+                s, level = " ".join([render(head, _ATOM)] + [render(a, _ATOM) for a in args]), _APP
+            elif cls is Lam:
+                name, body_s = self._under(t.hint, t.body)
+                s, level = f"fun ({name} : {render(t.dom, _BINDER)}) => {body_s}", _BINDER
+            elif cls is Pi and not occurs(t.cod):
+                s, level = f"{render(t.dom, _COMP)} -> {self._gone(t.cod, _ARROW)}", _ARROW
+            elif cls is Pi:
+                name, cod_s = self._under(t.hint, t.cod)
+                dom_s, level = render(t.dom, _BINDER), _BINDER
+                if type(t.dom) is SortT and t.dom.sort in (BOX, TRIANGLE):
+                    s = f"Pi ({name} : {dom_s}) -> {cod_s}"
                 else:
-                    name = _fresh(hint, names)
-                    dom_s = rec(dom, _BINDER)
-                    scope.insert(0, name)
-                    names.add(name)
-                    cod_s = rec(cod, _BINDER)
-                    scope.pop(0)
-                    names.discard(name)
-                    if isinstance(dom, SortT) and dom.sort in (BOX, TRIANGLE):
-                        s = f"Pi ({name} : {dom_s}) -> {cod_s}"
-                    else:
-                        s = f"forall ({name} : {dom_s}), {cod_s}"
-                    level = _BINDER
-            case Let(hint, ann, defn, body):
-                name = _fresh(hint, names)
-                ann_s = rec(ann, _BINDER)
-                defn_s = rec(defn, _BINDER)
-                scope.insert(0, name)
-                names.add(name)
-                body_s = rec(body, _BINDER)
-                scope.pop(0)
-                names.discard(name)
+                    s = f"forall ({name} : {dom_s}), {cod_s}"
+            elif cls is Let:
+                name, body_s = self._under(t.hint, t.body)
+                ann_s, defn_s = render(t.ann, _BINDER), render(t.defn, _BINDER)
                 s, level = f"let {name} : {ann_s} := {defn_s} in {body_s}", _BINDER
 
-    out = f"({s})" if prec > level else s
-    if key is not None:
-        cache[key] = (t, out)
-    return out
+        out = f"({s})" if prec > level else s
+        if key is not None:
+            cache[key] = (t, out)
+        return out
+
+    def _under(self, hint: str, body: Term) -> tuple[str, str]:
+        """A fresh name for a binder hinted ``hint``, and ``body`` printed under it."""
+        name = _fresh(hint, self.names)
+        self.scope.insert(0, name)
+        self.names.add(name)
+        body_s = self.render(body, _BINDER)
+        self.scope.pop(0)
+        self.names.discard(name)
+        return name, body_s
+
+    def _gone(self, t: Term, prec: int) -> str:
+        """``t`` under a dropped binder; a closed ``t`` keeps its cache key."""
+        if t.fa == 0:
+            return self.render(t, prec)
+        self.scope.insert(0, _GONE)
+        out = self.render(t, prec)
+        self.scope.pop(0)
+        return out
 
 
 def _fresh(hint: str, names: set[str]) -> str:

@@ -340,18 +340,10 @@ def parse_program(src: str) -> list[Directive]:
 # Elaboration
 
 
-def elaborate(
-    s: Surface,
-    env: GlobalEnv,
-    scope: Optional[list[str]] = None,
-    ctx: Ctx = (),
-    metas: Ctx = (),
-) -> Term:
-    """Resolve names and expand notations; ``scope`` lists binder names
-    innermost-first, aligned with ``ctx``.  ``metas`` is the context of a
-    rule's metavariables (``typecheck.rule_context``), which sits below
-    ``ctx``."""
-    scope = scope if scope is not None else []
+def elaborate(s: Surface, env: GlobalEnv, metas: Ctx = ()) -> Term:
+    """Resolve names and expand notations.  ``metas`` is the context of a
+    rule's metavariables (``typecheck.rule_context``), which sits below the
+    binders of ``s``."""
     meta_hints = [hint for hint, _, _ in metas]
 
     def go(s: Surface, scope: list[str], ctx: Ctx) -> Term:
@@ -391,7 +383,7 @@ def elaborate(
         f = go(s.f, scope, ctx)
         return _expand_composition(env, g, f, scope, ctx + metas, s.line, s.col)
 
-    return go(s, scope, ctx)
+    return go(s, [], ())
 
 
 def _expand_composition(

@@ -330,14 +330,24 @@ def infer(env: GlobalEnv, t: Term, ctx: Ctx = ()) -> Term:
                 raise TypeCheckError(NOT_A_FUNCTION, _describe_app(env, f, fty))
             check(env, arg, fty.dom, ctx)
             return subst(fty.cod, arg)
-        case Lam(hint, dom, body):
-            s1 = _sort_of(env, dom, ctx, "abstraction domain")
-            inner = push(ctx, hint, dom)
-            body_ty = infer(env, body, inner)
-            s2 = _sort_of(env, body_ty, inner, "abstraction body type")
-            if rule_of(env.spec, s1, s2) is None:
-                raise _no_rule(s1, s2)
-            return Pi(hint, dom, body_ty)
+        case Lam():
+            # A chain of funs in one pass: the domains' sorts outermost
+            # first, the innermost body once, then the products innermost
+            # first.  Above the innermost binder the body type is the product
+            # formed one binder below, whose sort its rule gives.
+            chain: list[tuple[Lam, Sort]] = []
+            while type(t) is Lam:
+                chain.append((t, _sort_of(env, t.dom, ctx, "abstraction domain")))
+                ctx = push(ctx, t.hint, t.dom)
+                t = t.body
+            ty = infer(env, t, ctx)
+            s2 = _sort_of(env, ty, ctx, "abstraction body type")
+            for lam, s1 in reversed(chain):
+                s3 = rule_of(env.spec, s1, s2)
+                if s3 is None:
+                    raise _no_rule(s1, s2)
+                ty, s2 = Pi(lam.hint, lam.dom, ty), s3
+            return ty
         case Pi(hint, dom, cod):
             s1 = _sort_of(env, dom, ctx, "product domain")
             s2 = _sort_of(env, cod, push(ctx, hint, dom), "product codomain")

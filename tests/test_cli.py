@@ -72,9 +72,9 @@ def test_file_target_load_renders_nothing(tmp_path, monkeypatch, capsys):
         calls.append(args)
         return real(*args, **kwargs)
 
-    # Every display function and every trace printer goes through _render.
-    real = display._render
-    monkeypatch.setattr(display, "_render", counting)
+    # Every display function and every trace printer goes through _Printer.render.
+    real = display._Printer.render
+    monkeypatch.setattr(display._Printer, "render", counting)
     f = tmp_path / "dev.pts"
     f.write_text(
         (CORPUS / "refined-axiomatic.pts").read_text(encoding="utf-8") + "trace (l₀ p₀ l₂ l₁) 3.\n",
@@ -169,6 +169,22 @@ def test_system_override_keeps_axiom_and_rule_directives(tmp_path, capsys):
     assert capsys.readouterr().out == "found=false no repetition (bound=1000, steps=1)\n"
     assert main(["erase", str(f), "idU", "--erase", "poly"] + override) == 0
     assert capsys.readouterr().out == "idU\n"
+
+
+def test_bundle_system_override(capsys):
+    # reynolds-A needs the (##,#) rule; under lambda-hol it still reduces.
+    assert main(["loop", "reynolds-A", "bottomProof", "--system", "lambda-hol", "--bound", "50"]) == 0
+    assert capsys.readouterr().out == "found=false no repetition (bound=50, steps=50)\n"
+
+
+def test_false_conv_directive_fails(tmp_path, capsys):
+    src = "system lambda-hol.\nconst A : *.\nconst a : A.\nconst b : A.\nconv a b.\nconst c : A.\n"
+    f = tmp_path / "conv.pts"
+    f.write_text(src, encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr().out.endswith("ok    const b : A\nFAIL  conv a =/= b\n")
+    report = run_program(src)
+    assert report.failed_entry == "conv" and report.error is None and not report.ok
 
 
 def test_poly_erasure_types_rule_metavariables_by_index(tmp_path, capsys):

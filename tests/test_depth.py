@@ -63,13 +63,14 @@ def env():
 @pytest.mark.parametrize("shape", SHAPES)
 def test_check_at_depth(shape):
     src, ty = _source(shape)
-    # Nested funs go in a definition, which is checked one binder at a time;
-    # a `check` directive infers each binder's type anew, quadratic in depth.
-    line = f"def h : {ty}" if shape == "funs" else f"check {src} : {ty}"
-    directive = f"def h : {ty} := {src}" if shape == "funs" else line
-    report = run_program(PRELUDE + directive + ".\n")
+    lines = [f"check {src} : {ty}"]
+    directives = lines[:]
+    if shape == "funs":  # also as a definition, checked one binder at a time
+        lines.append(f"def h : {ty}")
+        directives.append(f"def h : {ty} := {src}")
+    report = run_program(PRELUDE + "".join(d + ".\n" for d in directives))
     assert report.ok, report.render()[-200:]
-    assert report.lines[-1].text == line
+    assert [line.text for line in report.lines[-len(lines):]] == lines
 
 
 @pytest.mark.parametrize("shape", SHAPES)

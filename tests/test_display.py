@@ -125,6 +125,17 @@ def test_printer_grammar_shapes(refined):
     )
 
 
+def test_arrow_after_a_composition_takes_it_whole(refined):
+    # `->` closes the `∘` before it: the arrow's domain is `p₀∘δ`.
+    env = refined.env
+    t = _term("p₀∘δ -> A", env)
+    assert isinstance(t, Pi) and t.cod == Const("A")
+    assert alpha_eq(t.dom, _term("p₀∘δ", env))
+    shown = fold_display(t, env)
+    assert shown == "p₀∘δ -> A"
+    assert alpha_eq(_term(shown, env), t)
+
+
 def test_sorts_print_canonically(simple):
     env = simple.env
     for src in ("*", "#", "##"):

@@ -513,6 +513,34 @@ def test_head_linear_observations_are_readbacks(bundle_id, mode):
 
 
 @pytest.mark.parametrize(
+    "bundle_id, fast", [("simple", 85), ("refined-axiomatic", 65), ("hurkens-B-match1", 65)]
+)
+def test_linear_substitution_keeps_the_observation(bundle_id, fast):
+    # With no unapplied fun on the head path, a linear substitution leaves
+    # the readback as it was: the machine hands back the same object instead
+    # of reading the rebuilt state back in full.
+    bundle = get_bundle(bundle_id)
+    machine = reduce._LinearMachine(bundle.env, bundle.key_terms["bottomProof"])
+    kept = 0
+    for _ in range(100):
+        before = machine.observation()
+        kind = machine.step()
+        assert kind is not None
+        if kind == reduce.LINEAR_SUBST and machine.open == 0:
+            assert machine.observation() is before
+            kept += 1
+    assert kept == fast
+
+
+def test_head_variable_free_in_the_ambient_context_is_normal(simple):
+    # `y` is bound by no binder of the term: no step replaces it.
+    y = Var(1, "y")
+    for t in (App(Var(0, "y"), Const("x₀")), Lam("z", Const("A"), App(y, Var(0, "z")))):
+        assert head_linear_step(simple.env, t) is None
+        assert trace(simple.env, t, HEAD_LINEAR, 5).stopped == "head-normal"
+
+
+@pytest.mark.parametrize(
     "src",
     [
         # the head path runs through an unapplied fun
@@ -548,6 +576,15 @@ def test_erase_annotations_drops_domains(simple):
     t = _term("fun (x : A) => x", simple.env)
     erased = erase(t, ANNOTATIONS)
     assert erased == Lam("x", HOLE, Var(0))
+
+
+@pytest.mark.parametrize("mode", [ANNOTATIONS, POLY])
+def test_erase_keeps_a_let(simple, mode):
+    t = _term("(fun (x : A) => let y : A := x in l₁ y) x₀ l₂", simple.env)
+    expected = app(
+        Lam("x", HOLE, Let("y", HOLE, Var(0), App(Const("l₁"), Var(0)))), Const("x₀"), Const("l₂")
+    )
+    assert alpha_eq(erase(t, mode, env=simple.env), expected)
 
 
 def test_erase_poly_removes_sort_binder(reynolds):

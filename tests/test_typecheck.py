@@ -1,5 +1,6 @@
 import pytest
 
+from pts_kernel import typecheck
 from pts_kernel.cli import run_program
 from pts_kernel.env import Decl, add_entry
 from pts_kernel.errors import TypeCheckError
@@ -150,7 +151,14 @@ def test_whnf_of_looping_term_exhausts_fuel(simple):
 
 
 @pytest.mark.parametrize(
-    "src, what", [("forall (x : x₀), A", "product domain"), ("forall (x : A), x", "product codomain")]
+    "src, what",
+    [
+        ("forall (x : x₀), A", "product domain"),
+        ("forall (x : A), x", "product codomain"),
+        ("fun (x : A) => fun (y : x₀) => y", "abstraction domain"),
+        # an outer domain fails before an inner product
+        ("fun (x : x₀) => fun (y : A) => A", "abstraction domain"),
+    ],
 )
 def test_not_a_sort_names_the_position(simple, src, what):
     with pytest.raises(TypeCheckError) as err:
@@ -228,3 +236,48 @@ def test_conversion_memo_keys_open_problems_by_depth(church):
     a = app(Const("pair"), Var(0), Lam("x", nat, Var(0)))
     b = app(Const("pair"), two, Lam("x", nat, two))
     assert not convert(env, a, b, push((), "k", nat, two))
+
+
+@pytest.mark.parametrize(
+    "src, pair",
+    [
+        ("fun (X : #) => fun (x : A) => A", "(#,##)"),  # the innermost product fails first
+        ("fun (X : #) => fun (p : *) => p", "(##,#)"),  # the outer one reads the inner's sort
+    ],
+)
+def test_fun_chain_products_are_formed_inside_out(simple, src, pair):
+    with pytest.raises(TypeCheckError) as err:
+        infer(simple.env, _term(src, simple.env))
+    assert str(err.value) == f"NoRule: no product rule for {pair}"
+
+
+def test_check_of_a_fun_chain_infers_each_binder_once(monkeypatch):
+    # `infer` walks a chain of funs in one loop and takes each body type's
+    # sort from the product below it; re-inferring that sort per binder is
+    # quadratic in the depth.
+    env = run_program("system lambda-hol.\nconst A : *.\nconst f : A -> A.\n").env
+    depth = 400
+    t, ty = app(Const("f"), Var(depth - 1, "x0")), Const("A")
+    for i in reversed(range(depth)):
+        t, ty = Lam(f"x{i}", Const("A"), t), Pi("_", Const("A"), ty)
+    calls = []
+    real = typecheck.infer
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(typecheck, "infer", counting)
+    check(env, t, ty)
+    assert len(calls) <= 2 * depth
+
+
+def test_rule_with_more_arguments_than_the_head_is_skipped():
+    # `both` needs two arguments; with one, the next rule for `f` fires.
+    env = run_program(
+        "system lambda-hol.\nconst A : *.\nconst a : A.\nconst b : A.\n"
+        "const f : A -> A -> A.\nrewrite both : f $x $y => $y.\n"
+        "rewrite one : f $x => fun (y : A) => y.\n"
+    ).env
+    assert alpha_eq(whnf(env, _term("f a", env)), _term("fun (y : A) => y", env))
+    assert whnf(env, _term("f a b", env)) == Const("b")
