@@ -11,10 +11,9 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 from typing import Optional
 
-from .corpus import BUNDLE_IDS, get_bundle, run_file, run_program
+from .corpus import BUNDLE_IDS, get_bundle, read_source, run_file, run_program
 from .display import plain_display
 from .env import Decl, Def, GlobalEnv
 from .errors import KernelError
@@ -55,7 +54,7 @@ def _resolve_term(terms: dict, name: str, target: str) -> Term:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    src = Path(args.file).read_text(encoding="utf-8")
+    src = read_source(args.file)
     report = run_program(src, args.system, raw=args.raw)
     print(report.render())
     return 0 if report.ok else 1

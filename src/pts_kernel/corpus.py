@@ -171,9 +171,17 @@ def _resolve_system(d: Directive) -> PtsSpec:
     raise ParseError(f"unknown system {d.name!r}", d.line, d.col)
 
 
+def read_source(path: str | Path) -> str:
+    """The text of a development file; a ``KernelError`` if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise KernelError(f"{path} is not UTF-8 (byte {err.start})") from None
+
+
 def run_file(path: str | Path, system_override: Optional[str] = None) -> Report:
     """``run_program`` on a file; a ``KernelError`` unless every directive passed."""
-    report = run_program(Path(path).read_text(encoding="utf-8"), system_override)
+    report = run_program(read_source(path), system_override)
     if not report.ok:
         raise KernelError(f"cannot load {path}:\n{report.render()}")
     return report

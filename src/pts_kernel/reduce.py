@@ -1,18 +1,19 @@
 """Reduction strategies, type erasure, trace emission, and loop detection.
 
 Two step granularities are provided.  ``head_def_step`` performs one
-definition-level event: unfold the head constant and contract its ``fun``
-chain against the arguments present (one trace-table row), or contract a head
-beta chain, or substitute a head ``let``, or fire one head rewrite rule.
-``head_linear_step`` is the finer-grained discipline: it replaces exactly one
-occurrence, the head one, of the head variable or constant by its binding,
-leaving the surrounding redex in place.  Its observable state is the readback
-that flattens pending spine substitutions.
+definition-level event, ``typecheck._head_event``, the head step that whnf,
+conversion and rule matching repeat too: unfold the head constant and
+contract its ``fun`` chain against the arguments present (one trace-table
+row), or contract a head beta chain, or substitute a head ``let``, or fire
+one head rewrite rule.  ``head_linear_step`` is the finer-grained discipline:
+it replaces exactly one occurrence, the head one, of the head variable or
+constant by its binding, leaving the surrounding redex in place.  Its
+observable state is the readback that flattens pending spine substitutions.
 
 Head-def steps and readback hold a state as a head and an argument stack (the
-Krivine machine's): ``typecheck.contract_head`` pops the arguments a redex
-consumes, and the result's spine is pushed, so no step rebuilds the whole
-application.  Loop search keys a head-def state by the tuple ``(head, *args)``.
+Krivine machine's): an event pops the arguments it consumes, and the result's
+spine is pushed, so no step rebuilds the whole application.  Loop search keys
+a head-def state by the tuple ``(head, *args)``.
 
 Head-linear reduction runs on a resumable machine (``_LinearMachine``) that
 keeps a zipper on the head path: the nodes from the root to the tip, what
@@ -61,7 +62,8 @@ from .terms import (
     spine,
     unwind,
 )
-from .typecheck import Ctx, Fuel, _try_rules, contract_head, infer, push, rule_context, whnf
+from .typecheck import BETA_CONTRACT, DELTA_UNFOLD, REWRITE_FIRE, Ctx, _head_event, contract_head
+from .typecheck import infer, push, rule_context, whnf
 
 HEAD_DEF = "head-def"
 HEAD_LINEAR = "head-linear"
@@ -71,9 +73,6 @@ ANNOTATIONS = "annotations"
 POLY = "poly"
 ERASURE_MODES = (ANNOTATIONS, POLY)
 
-DELTA_UNFOLD = "delta-unfold"
-BETA_CONTRACT = "beta-contract"
-REWRITE_FIRE = "rewrite-fire"
 LINEAR_SUBST = "linear-subst"
 
 
@@ -124,31 +123,8 @@ class LoopReport:
 def head_def_step(env: GlobalEnv, t: Term) -> Optional[tuple[str, str, Term]]:
     """One definition-level head event, or None when head-normal."""
     stack: list[Term] = []
-    event = _head_def_event(env, unwind(t, stack), stack)
-    return None if event is None else (*event[:2], app(event[2], *reversed(stack)))
-
-
-def _head_def_event(
-    env: GlobalEnv, head: Term, stack: list[Term]
-) -> Optional[tuple[str, str, Term]]:
-    """One head-def event on ``head`` applied to ``stack`` (innermost argument
-    last), popping the arguments it consumes: its kind, its detail (for a
-    ``fun`` chain, how many it consumed) and its result; or None."""
-    cls = type(head)
-    if cls is Lam and stack:
-        count = len(stack)
-        new = contract_head(head, stack)
-        kind, detail = BETA_CONTRACT, str(count - len(stack))
-    elif cls is Let:
-        kind, detail, new = DELTA_UNFOLD, head.hint, contract_head(head, stack)
-    elif cls is Const and (body := env.def_body(head.name)) is not None:
-        kind, detail = DELTA_UNFOLD, head.name
-        new = contract_head(body, stack) if type(body) is Lam else body
-    elif cls is Const and (fired := _try_rules(env, head.name, stack, (), Fuel())):
-        kind, (detail, new) = REWRITE_FIRE, fired
-    else:
-        return None
-    return kind, detail, new
+    event = _head_event(env, unwind(t, stack), stack)
+    return None if event is None else (event[0], str(event[1]), app(event[2], *reversed(stack)))
 
 
 class _LinearMachine:
@@ -317,11 +293,11 @@ def _walk(
             key = machine.observation()
             result = (kind, machine.detail(), machine.term()) if rows else (kind, None, None)
         else:
-            event = _head_def_event(env, head, stack)
+            event = _head_event(env, head, stack)
             if event is None:
                 return
             kind, detail, new = event
-            result = (kind, detail, app(new, *reversed(stack))) if rows else (kind, None, None)
+            result = (kind, str(detail), app(new, *reversed(stack))) if rows else (kind, None, None)
             head = unwind(new, stack)
             key = (head, *stack)
         # The last observation holds number count - 1: meeting it again means

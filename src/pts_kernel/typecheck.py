@@ -4,7 +4,8 @@ Conversion is beta (contraction), delta (transparent definitions, global and
 let-bound alike), and rho (declared rewrite rules fired at the head).  The
 strategy is whnf-then-structural with lazy delta: a spine headed by a defined
 constant is first compared against an equal-named spine argumentwise, and only
-unfolded when that fails or when heads differ.
+unfolded when that fails or when heads differ.  Each head step is one
+``_head_event`` on a head and its argument stack, shared with ``reduce``.
 
 One ``convert`` call memoizes every sub-problem it decides, true or false, so
 an argument comparison that failed before an unfolding is not solved again
@@ -57,6 +58,7 @@ from .terms import (
     shift,
     spine,
     subst,
+    unwind,
 )
 
 DEFAULT_FUEL = 100_000
@@ -92,49 +94,63 @@ def ctx_value(ctx: Ctx, index: int) -> Optional[Term]:
     return shift(value, index + 1) if value is not None else None
 
 
-def _head_reduce(
+# The kinds of head events; ``reduce`` reports them as trace rows.
+DELTA_UNFOLD, BETA_CONTRACT, REWRITE_FIRE = "delta-unfold", "beta-contract", "rewrite-fire"
+
+
+def _head_event(
     env: GlobalEnv,
-    t: Term,
-    ctx: Ctx,
-    fuel: Fuel,
-    lazy_defs: bool,
+    head: Term,
+    stack: list[Term],
+    ctx: Ctx = (),
+    fuel: Optional[Fuel] = None,
+    lazy_defs: bool = False,
     use_rules: bool = True,
+) -> Optional[tuple[str, str | int, Term]]:
+    """One head event on ``head`` applied to ``stack`` (innermost argument
+    last), popping the arguments it consumes: ``(kind, detail, result)``, or
+    None when the head is normal.  A ``fun`` chain contracts (detail: the
+    arguments consumed); a ``let``, or a variable with a value in ``ctx``,
+    unfolds under its hint; a defined constant unfolds unless ``lazy_defs``,
+    its body contracting at once if a ``fun``; a declared constant fires its
+    first matching rule if ``use_rules``.  ``fuel`` pays per unfolding,
+    argument and rule; without it, a fresh ``Fuel()`` meters only rules."""
+    cls = type(head)
+    if cls is Lam and stack:
+        count = len(stack)
+        new = contract_head(head, stack, fuel)
+        return BETA_CONTRACT, count - len(stack), new
+    if cls is Let:
+        return DELTA_UNFOLD, head.hint, contract_head(head, stack, fuel)
+    if cls is Var and head.index < len(ctx) and (value := ctx_value(ctx, head.index)) is not None:
+        if fuel is not None:
+            fuel.spend()
+        return DELTA_UNFOLD, ctx[head.index][0], value
+    if cls is Const:
+        body = env.def_body(head.name)
+        if body is not None:
+            if lazy_defs:
+                return None
+            if fuel is not None:
+                fuel.spend()
+            if type(body) is Lam:
+                body = contract_head(body, stack, fuel)
+            return DELTA_UNFOLD, head.name, body
+        if use_rules and (fired := _try_rules(env, head.name, stack, ctx, fuel or Fuel())):
+            return REWRITE_FIRE, *fired
+    return None  # sorts, products, unapplied lambdas, free variables, holes
+
+
+def _head_reduce(
+    env: GlobalEnv, t: Term, ctx: Ctx, fuel: Fuel, lazy_defs: bool, use_rules: bool = True
 ) -> Term:
-    """Reduce at the head: beta, let, local values, rules, optionally delta."""
-    stack: list[Term] = []  # innermost argument last
-    while True:
-        if isinstance(t, App):
-            stack.append(t.arg)
-            t = t.fn
-            continue
-        if isinstance(t, Let) or (isinstance(t, Lam) and stack):
-            t = contract_head(t, stack, fuel)
-            continue
-        if isinstance(t, Var) and t.index < len(ctx):
-            value = ctx_value(ctx, t.index)
-            if value is not None:
-                fuel.spend()
-                t = value
-                continue
-            break
-        if isinstance(t, Const) and t.name in env:
-            entry = env.lookup(t.name)
-            if isinstance(entry, Def):
-                if lazy_defs:
-                    break
-                fuel.spend()
-                t = entry.body
-                continue
-            if use_rules and isinstance(entry, Decl):
-                fired = _try_rules(env, t.name, stack, ctx, fuel)
-                if fired is not None:
-                    t = fired[1]
-                    continue
-            break
-        break  # sorts, products, unapplied lambdas, free variables, holes
-    for a in reversed(stack):
-        t = App(t, a)
-    return t
+    """Apply ``_head_event`` until the head is normal; ``t`` itself, not
+    rebuilt, when no event fires."""
+    stack: list[Term] = []
+    head, fired = unwind(t, stack), False
+    while (event := _head_event(env, head, stack, ctx, fuel, lazy_defs, use_rules)) is not None:
+        head, fired = unwind(event[2], stack), True
+    return app(head, *reversed(stack)) if fired else t
 
 
 def contract_head(t: Term, stack: list[Term], fuel: Optional[Fuel] = None) -> Term:
@@ -241,8 +257,8 @@ def _conv(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel, memo: Memo) ->
             break
         ha, aargs = spine(a)
         hb, bargs = spine(b)
-        body_a = env.def_body(ha.name) if isinstance(ha, Const) else None
-        body_b = env.def_body(hb.name) if isinstance(hb, Const) else None
+        def_a = isinstance(ha, Const) and env.def_body(ha.name) is not None
+        def_b = isinstance(hb, Const) and env.def_body(hb.name) is not None
         if (
             isinstance(ha, Const)
             and isinstance(hb, Const)
@@ -252,21 +268,17 @@ def _conv(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel, memo: Memo) ->
         ):
             verdict = True
             break
-        if body_a is None and body_b is None:
+        if not def_a and not def_b:
             verdict = _conv_rigid(env, a, b, ctx, fuel, memo)
             break
         # Unfold one side at a time, younger definition first, re-checking
         # alignment after each unfolding; this lets a term meet its own
         # reduct instead of the two sides chasing each other.
-        unfold_a = body_a is not None
-        if body_a is not None and body_b is not None:
-            unfold_a = env.age(ha.name) >= env.age(hb.name)
-        if unfold_a:
-            fuel.spend()
-            a = _head_reduce(env, app(body_a, *aargs), ctx, fuel, lazy_defs=True)
-        else:
-            fuel.spend()
-            b = _head_reduce(env, app(body_b, *bargs), ctx, fuel, lazy_defs=True)
+        unfold_a = def_a and (not def_b or env.age(ha.name) >= env.age(hb.name))
+        head, stack = (ha, aargs[::-1]) if unfold_a else (hb, bargs[::-1])
+        event = _head_event(env, head, stack, ctx, fuel)  # unfolds the definition
+        new = _head_reduce(env, app(event[2], *reversed(stack)), ctx, fuel, lazy_defs=True)
+        a, b = (new, b) if unfold_a else (a, new)
     memo[key] = verdict
     return verdict
 

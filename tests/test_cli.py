@@ -311,6 +311,36 @@ def test_trace_file_target(tmp_path, capsys):
     assert records[1]["display"] == "x₀"
 
 
+def test_trace_of_a_let_bodied_definition_unfolds_then_substitutes(tmp_path, capsys):
+    # Unfolding d exposes its let; substituting the let is a row of its own.
+    f = tmp_path / "let.pts"
+    f.write_text(
+        "system lambda-hol.\nconst A : *.\nconst a : A.\ndef d : A := let y : A := a in y.\n",
+        encoding="utf-8",
+    )
+    assert main(["trace", str(f), "d", "--format", "structured"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["event"], r.get("detail"), r["raw"]) for r in records] == [
+        ("start", None, "d"),
+        ("delta-unfold", "d", "let y : A := a in y"),
+        ("delta-unfold", "y", "a"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["trace", "d"], ["loop", "d"], ["erase", "d", "--erase", "poly"]],
+    ids=["check", "trace", "loop", "erase"],
+)
+def test_a_file_that_is_not_utf8_is_refused_without_traceback(tmp_path, capsys, argv):
+    f = tmp_path / "bad.pts"
+    f.write_bytes(b"\xff\xfe\x00")
+    assert main([argv[0], str(f), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {f} is not UTF-8 (byte 0)\n"
+
+
 def test_run_program_stops_at_first_error():
     report = run_program("const A : #.\nconst A : #.\nconst B : #.")
     assert not report.ok

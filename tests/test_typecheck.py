@@ -281,3 +281,30 @@ def test_rule_with_more_arguments_than_the_head_is_skipped():
     ).env
     assert alpha_eq(whnf(env, _term("f a", env)), _term("fun (y : A) => y", env))
     assert whnf(env, _term("f a b", env)) == Const("b")
+
+
+LET_DEF = (
+    "system lambda-hol.\nconst A : *.\nconst a : A.\nconst f : A -> A.\n"
+    "def d : A := let y : A := a in y.\ndef g : A -> A := fun (x : A) => f x.\n"
+)
+
+
+def test_whnf_of_a_let_bodied_definition_spends_one_unit_per_event():
+    # Unfolding d is one unit and substituting its let another; with one
+    # unit only, the let cannot be substituted.
+    env = run_program(LET_DEF).env
+    fuel = Fuel()
+    assert whnf(env, Const("d"), fuel=fuel) == Const("a")
+    assert fuel.budget - fuel.left == 2
+    with pytest.raises(TypeCheckError) as err:
+        whnf(env, Const("d"), fuel=Fuel(1))
+    assert err.value.kind == "FuelExhausted"
+
+
+def test_whnf_returns_a_head_normal_term_itself():
+    env = run_program(LET_DEF).env
+    t = _term("f (g a)", env)
+    assert whnf(env, t) is t
+    # When an event fires, the result is rebuilt.
+    out = whnf(env, _term("g (g a)", env))
+    assert alpha_eq(out, _term("f (g a)", env))
