@@ -205,6 +205,73 @@ def test_poly_erasure_types_rule_metavariables_by_index(tmp_path, capsys):
     assert capsys.readouterr().out == "t\nf id c\nid c\n"
 
 
+_RULE_HEADER = (
+    "system lambda-hol.\nconst A : *.\nconst B : *.\nconst a : A.\nconst b : B.\n"
+    "const f : A -> A -> A.\nconst g : A -> A.\nconst h : B -> A.\n"
+    "const k : forall (X : *), X -> A.\ndef idA : A -> A := fun (x : A) => x.\n"
+)
+_RULE_HEADER_REPORT = (
+    "ok    system lambda-hol\nok    const A : *\nok    const B : *\nok    const a : A\n"
+    "ok    const b : B\nok    const f : A -> A -> A\nok    const g : A -> A\n"
+    "ok    const h : B -> A\nok    const k : forall (X : *), X -> A\nok    def idA : A -> A\n"
+)
+_NESTED_RULES = (
+    "system lambda-hol.\nconst A : *.\nconst a : A.\nconst c : A.\n"
+    "const pair : A -> A -> A.\nconst wrap : A -> A.\nconst fst : A -> A.\n"
+    "const swap : A -> A.\nconst k : forall (X : *), X -> A.\n"
+    "rewrite first : fst (wrap (pair $x $y)) => $x.\n"
+    "rewrite flip : swap (pair $x (wrap $y)) => pair $y $x.\n"
+    "rewrite apply : k A $x => $x.\n"
+    "def w : A := wrap (pair a c).\n"
+    "conv (fst (wrap (pair a c))) (a).\nconv (fst w) (a).\n"
+    "conv (swap (pair a (wrap c))) (pair c a).\nconv (k A (fst w)) (a).\n"
+)
+
+
+@pytest.mark.parametrize(
+    "src, status, report",
+    [
+        (_RULE_HEADER + "rewrite r : idA $x => $x.\n", 1,
+         _RULE_HEADER_REPORT + "FAIL  rewrite r: pattern head idA must be a declared constant\n"),
+        (_RULE_HEADER + "rewrite r : g $x $y => $x.\n", 1,
+         _RULE_HEADER_REPORT + "FAIL  rewrite r: pattern head g is applied too many times\n"),
+        (_RULE_HEADER + "rewrite r : f $x $x => $x.\n", 1,
+         _RULE_HEADER_REPORT + "FAIL  rewrite r: 11:15: metavariable $x occurs twice\n"),
+        (_RULE_HEADER + "rewrite r : h (g $x) => $x.\n", 1,
+         _RULE_HEADER_REPORT + "FAIL  rewrite r: rigid pattern argument g has the wrong type\n"),
+        (_RULE_HEADER + "rewrite r : g (zz $x) => $x.\n", 1,
+         _RULE_HEADER_REPORT + "FAIL  rewrite r: UnknownConstant: unknown constant zz\n"),
+        (_RULE_HEADER + "rewrite r : g (fun (x : A) => x) => a.\n", 1,
+         _RULE_HEADER_REPORT
+         + "FAIL  rewrite r: 11:1: pattern arguments are metavariables or constant spines\n"),
+        (_RULE_HEADER + "rewrite r : $x a => a.\n", 1,
+         _RULE_HEADER_REPORT + "FAIL  rewrite r: 11:1: pattern head must be a constant\n"),
+        (_RULE_HEADER + "rewrite r : k $X $x => a.\n", 1,
+         _RULE_HEADER_REPORT
+         + "FAIL  rewrite r: type of $x depends on earlier pattern arguments\n"),
+        (_RULE_HEADER + "rewrite r : g $x => b.\n", 1,
+         _RULE_HEADER_REPORT
+         + "FAIL  rewrite r: DomainMismatch: rewrite r: sides have types A and B\n"),
+        (_NESTED_RULES, 0,
+         "ok    system lambda-hol\nok    const A : *\nok    const a : A\nok    const c : A\n"
+         "ok    const pair : A -> A -> A\nok    const wrap : A -> A\nok    const fst : A -> A\n"
+         "ok    const swap : A -> A\nok    const k : forall (X : *), X -> A\n"
+         "ok    rewrite first\nok    rewrite flip\nok    rewrite apply\nok    def w : A\n"
+         "ok    conv fst w == a\nok    conv fst w == a\n"
+         "ok    conv swap (pair a (wrap c)) == pair c a\nok    conv k A (fst w) == a\n"),
+    ],
+    ids=["defined-head", "too-many-args", "nonlinear", "rigid-wrong-type", "unknown-name",
+         "fun-arg", "meta-head", "dependent-meta", "sides-differ", "nested-rigid-fires"],
+)
+def test_rule_reports_are_pinned(tmp_path, capsys, src, status, report):
+    # Every rule check's report, from the parser's shape errors to the typing
+    # of sides, and a file whose nested rigid patterns fire under conversion.
+    f = tmp_path / "rules.pts"
+    f.write_text(src, encoding="utf-8")
+    assert main(["check", str(f)]) == status
+    assert capsys.readouterr().out == report
+
+
 def test_check_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.pts"
     empty.write_text("-- nothing here\n", encoding="utf-8")
