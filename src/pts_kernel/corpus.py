@@ -27,7 +27,7 @@ from .parser import Directive, build_rewrite, elaborate, parse_program
 from .reduce import HEAD_DEF, trace
 from .specs import PRESETS, PtsSpec, empty_custom, with_axiom, with_rule
 from .terms import SORT_BY_TOKEN, Term
-from .typecheck import check, convert
+from .typecheck import check, convert, infer
 
 # --------------------------------------------------------------------------
 # Development files
@@ -150,6 +150,7 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
                     return report
             elif d.kind == "trace":
                 t = elaborate(d.parts[0], env)
+                infer(env, t)
                 tr = trace(env, t, HEAD_DEF, d.parts[1])
                 say(True, "trace ", t, f" [{tr.stopped}]")
                 for row in [tr.start] + [s.raw for s in tr.steps]:
