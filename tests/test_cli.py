@@ -450,3 +450,17 @@ def test_trace_directive_report_matches_golden_bytes(tmp_path, capsys, flags, su
     assert main(["check", str(f)] + flags) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"check-trace-directive.{suffix}").read_text(encoding="utf-8")
+
+
+def test_trace_directive_type_checks_its_term(tmp_path, capsys):
+    # `match : A -> T A` applied to the sort-level `A : #` is ill-typed, so
+    # the directive fails before tracing and prints no rows.
+    f = tmp_path / "bad-trace.pts"
+    f.write_text(
+        (CORPUS / "simple.pts").read_text(encoding="utf-8") + "trace (match A A ⊥) 2.\n",
+        encoding="utf-8",
+    )
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr().out.endswith(
+        "ok    check l₂ p₀ l₂ l₁ : ⊥\nFAIL  trace : DomainMismatch: expected A, found # for A\n"
+    )
