@@ -2,7 +2,7 @@
 rules, and a head-reduction trace engine, plus a machine-checked corpus of
 looping proof terms in inconsistent systems."""
 
-from .env import Decl, Def, GlobalEnv, MetaArg, Pattern, Rewrite, add_entry, unfold_all
+from .env import Decl, Def, GlobalEnv, Rewrite, add_entry, unfold_all
 from .errors import (
     DuplicateNameError,
     ErasureNeedsTypesError,

@@ -5,46 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .errors import DuplicateNameError, IllFormedPatternError, TypeCheckError, UNKNOWN_CONSTANT
+from .errors import DuplicateNameError, TypeCheckError, UNKNOWN_CONSTANT
 from .specs import PtsSpec
-from .terms import HOLE, App, Const, Lam, Let, Pi, SortT, Term, Var, subst
-
-
-@dataclass(frozen=True)
-class MetaArg:
-    """Pattern metavariable; the rule's right-hand side reads metavariable
-    ``index`` as ``Var(index)``.  The parser numbers them last argument first."""
-
-    index: int
-    hint: str
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """Left-linear pattern: a declared constant applied to metavariables or
-    rigid subpatterns."""
-
-    head: str
-    args: tuple[Union[MetaArg, "Pattern"], ...] = ()
-
-    def metavars(self) -> list[MetaArg]:
-        """The metavariables, in index order."""
-        out: list[MetaArg] = []
-        for a in self.args:
-            if isinstance(a, MetaArg):
-                out.append(a)
-            else:
-                out.extend(a.metavars())
-        return sorted(out, key=lambda m: m.index)
-
-    def validate(self) -> None:
-        seen = set()
-        for m in self.metavars():
-            if m.index in seen:
-                raise IllFormedPatternError(f"metavariable ${m.hint} occurs twice")
-            seen.add(m.index)
-        if sorted(seen) != list(range(len(seen))):
-            raise IllFormedPatternError("metavariable indices must be dense")
+from .terms import HOLE, App, Const, Lam, Let, Pi, SortT, Term, Var, spine, subst
 
 
 @dataclass(frozen=True)
@@ -62,15 +25,24 @@ class Def:
 
 @dataclass(frozen=True)
 class Rewrite:
-    """Head rewrite rule; fires left-to-right after unfolding exposes ``lhs.head``.
+    """Head rewrite rule ``lhs => rhs``; fires left-to-right once unfolding
+    exposes the constant ``head``.
 
-    ``rhs`` is a term over the rule's metavariables: metavariable ``i``
-    appears as ``Var(i + d)`` under ``d`` local binders.
+    Both sides are terms over the rule's metavariables: metavariable ``i``
+    is ``Var(i)`` in ``lhs``, and ``Var(i + d)`` under ``d`` local binders
+    in ``rhs``.  ``lhs`` is a declared constant applied to arguments, each a
+    metavariable or a rigid constant spine; every index below ``lhs.fa``
+    occurs in it exactly once (``typecheck.rule_context`` checks this).  The
+    parser numbers metavariables last argument first.
     """
 
     name: str
-    lhs: Pattern
+    lhs: Term
     rhs: Term
+
+    @property
+    def head(self) -> str:
+        return spine(self.lhs)[0].name  # type: ignore[attr-defined]
 
 
 EnvEntry = Union[Decl, Def, Rewrite]
@@ -97,7 +69,7 @@ class _Table:
         self.order[entry.name] = len(self.entries)
         self.entries.append(entry)
         if isinstance(entry, Rewrite):
-            self.rules.setdefault(entry.lhs.head, []).append(entry)
+            self.rules.setdefault(entry.head, []).append(entry)
 
 
 class GlobalEnv:
@@ -188,15 +160,6 @@ def add_entry(env: GlobalEnv, entry: EnvEntry) -> GlobalEnv:
 
     check_entry(env, entry)
     return env.extended(entry)
-
-
-def pattern_term(pattern: Pattern) -> Term:
-    """The pattern as a term, metavariable ``i`` rendered as ``Var(i)``."""
-    t: Term = Const(pattern.head)
-    for a in pattern.args:
-        arg = Var(a.index, a.hint) if isinstance(a, MetaArg) else pattern_term(a)
-        t = App(t, arg)
-    return t
 
 
 def unfold_all(env: GlobalEnv, t: Term, memo: Optional[dict[Term, Term]] = None) -> Term:

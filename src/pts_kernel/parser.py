@@ -29,9 +29,9 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .env import GlobalEnv, MetaArg, Pattern, Rewrite
+from .env import GlobalEnv, Rewrite
 from .errors import ParseError, TypeCheckError
-from .terms import App, Const, Lam, Let, Pi, SORT_BY_TOKEN, SortT, Term, Var, shift
+from .terms import App, Const, Lam, Let, Pi, SORT_BY_TOKEN, SortT, Term, Var, app, shift
 from .typecheck import Ctx, infer, push, rule_context, whnf
 
 KEYWORDS = frozenset(
@@ -408,8 +408,8 @@ def _expand_composition(
 def build_rewrite(
     env: GlobalEnv, name: str, lhs: Surface, rhs: Surface, line: int = 0, col: int = 0
 ):
-    """Assemble a rewrite rule: pattern from ``lhs``, right side elaborated
-    under the metavariable telescope the pattern induces.  ``line`` and
+    """Assemble a rewrite rule: left side from ``lhs``, right side elaborated
+    under the metavariable telescope the left side induces.  ``line`` and
     ``col`` locate the directive, for pattern errors with no position of
     their own."""
     pattern = surface_to_pattern(lhs, line, col)
@@ -418,31 +418,31 @@ def build_rewrite(
     return Rewrite(name, pattern, rhs_term)
 
 
-def surface_to_pattern(s: Surface, line: int, col: int) -> Pattern:
-    """Interpret a parsed term as a left-linear rewrite pattern; shape errors
-    are reported at ``line``:``col``."""
+def surface_to_pattern(s: Surface, line: int, col: int) -> Term:
+    """Read a parsed term as a left-linear rewrite pattern: a constant
+    spine whose arguments are metavariables or constant spines.  Metavariable
+    ``$x`` becomes ``Var(i, "x")``, numbered last argument first.  Shape
+    errors are reported at ``line``:``col``, a repeated metavariable at its
+    second occurrence."""
     indices: dict[str, int] = {}
 
-    def go(s: Surface) -> Pattern:
-        args: list[Union[MetaArg, Pattern]] = []
+    def go(s: Surface) -> Term:
+        args: list[Term] = []
         while isinstance(s, SApp):
             args.append(arg(s.arg))
             s = s.fn
         if not isinstance(s, SName):
             raise ParseError("pattern head must be a constant", line, col)
-        args.reverse()
-        return Pattern(s.name, tuple(args))
+        return app(Const(s.name), *reversed(args))
 
-    def arg(s: Surface) -> Union[MetaArg, Pattern]:
+    def arg(s: Surface) -> Term:
         if isinstance(s, SMeta):
             if s.name in indices:
                 raise ParseError(f"metavariable ${s.name} occurs twice", s.line, s.col)
             indices[s.name] = len(indices)
-            return MetaArg(indices[s.name], s.name)
+            return Var(indices[s.name], s.name)
         if isinstance(s, (SApp, SName)):
             return go(s)
         raise ParseError("pattern arguments are metavariables or constant spines", line, col)
 
-    pattern = go(s)
-    pattern.validate()
-    return pattern
+    return go(s)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .display import fold_display
-from .env import Decl, Def, GlobalEnv, MetaArg, Pattern, Rewrite, pattern_term
+from .env import Decl, Def, GlobalEnv, Rewrite
 from .errors import (
     DOMAIN_MISMATCH,
     FUEL_EXHAUSTED,
@@ -184,14 +184,12 @@ def _try_rules(
         return None
     args = list(reversed(stack))
     for rule in rules:
-        n = len(rule.lhs.args)
+        pats = spine(rule.lhs)[1]
+        n = len(pats)
         if len(args) < n:
             continue
-        sigma: list[Optional[Term]] = [None] * len(rule.lhs.metavars())
-        if all(
-            _match_modulo(env, pat, arg, ctx, fuel, sigma)
-            for pat, arg in zip(rule.lhs.args, args[:n])
-        ):
+        sigma: list[Optional[Term]] = [None] * rule.lhs.fa
+        if all(_match_modulo(env, pat, arg, ctx, fuel, sigma) for pat, arg in zip(pats, args)):
             fuel.spend()
             del stack[len(stack) - n :]
             return rule.name, instantiate(rule.rhs, sigma)  # type: ignore[arg-type]
@@ -199,26 +197,23 @@ def _try_rules(
 
 
 def _match_modulo(
-    env: GlobalEnv,
-    pat: MetaArg | Pattern,
-    t: Term,
-    ctx: Ctx,
-    fuel: Fuel,
-    sigma: list[Optional[Term]],
+    env: GlobalEnv, pat: Term, t: Term, ctx: Ctx, fuel: Fuel, sigma: list[Optional[Term]]
 ) -> bool:
     """Match one pattern argument, unfolding the subject's head as needed.
 
-    Metavariables capture the subject as given (folded); rigid positions
-    reduce the subject by beta/delta/let until the head constant shows.
+    A metavariable ``Var(i)`` captures the subject as given (folded); a rigid
+    constant spine reduces the subject by beta/delta/let until its head
+    constant shows, then matches argumentwise.
     """
-    if isinstance(pat, MetaArg):
+    if type(pat) is Var:
         sigma[pat.index] = t
         return True
     t = _head_reduce(env, t, ctx, fuel, lazy_defs=False, use_rules=False)
+    phead, pats = spine(pat)
     head, args = spine(t)
-    if not isinstance(head, Const) or head.name != pat.head or len(args) != len(pat.args):
+    if head != phead or len(args) != len(pats):
         return False
-    return all(_match_modulo(env, p, a, ctx, fuel, sigma) for p, a in zip(pat.args, args))
+    return all(_match_modulo(env, p, a, ctx, fuel, sigma) for p, a in zip(pats, args))
 
 
 def whnf(env: GlobalEnv, t: Term, ctx: Ctx = (), fuel: Optional[Fuel] = None) -> Term:
@@ -430,7 +425,6 @@ def check_entry(env: GlobalEnv, entry: Decl | Def | Rewrite) -> None:
 
 
 def _check_rewrite(env: GlobalEnv, rule: Rewrite) -> None:
-    rule.lhs.validate()
     ctx, lhs_ty = rule_context(env, rule.lhs)
     rhs_ty = infer(env, rule.rhs, ctx)
     if not convert(env, rhs_ty, lhs_ty, ctx):
@@ -441,39 +435,49 @@ def _check_rewrite(env: GlobalEnv, rule: Rewrite) -> None:
         )
 
 
-def rule_context(env: GlobalEnv, pattern: Pattern) -> tuple[Ctx, Term]:
+def rule_context(env: GlobalEnv, lhs: Term) -> tuple[Ctx, Term]:
     """The context of a rule's metavariables, in index order so that
-    metavariable ``i`` is ``Var(i)`` in it, and the type of the pattern."""
-    metas = pattern.metavars()
-    types: list[Optional[Term]] = [None] * len(metas)
-    lhs_ty = _type_pattern(env, pattern, types)
-    return tuple((m.hint, types[m.index], None) for m in metas), lhs_ty  # type: ignore[misc]
+    metavariable ``i`` is ``Var(i)`` in it, and the type of ``lhs``.
+
+    Raises ``IllFormedPatternError`` unless ``lhs`` is a left-linear pattern
+    whose metavariables are exactly ``Var(0)`` .. ``Var(lhs.fa - 1)``."""
+    slots: list[Optional[tuple[str, Term, None]]] = [None] * lhs.fa
+    lhs_ty = _type_pattern(env, lhs, slots)
+    if None in slots:
+        raise IllFormedPatternError("metavariable indices must be dense")
+    return tuple(slots), lhs_ty  # type: ignore[arg-type]
 
 
-def _type_pattern(env: GlobalEnv, pattern: Pattern, types: list[Optional[Term]]) -> Term:
-    """Infer metavariable types from a pattern; returns the pattern's type."""
-    entry = env.lookup(pattern.head)
+def _type_pattern(
+    env: GlobalEnv, pattern: Term, slots: list[Optional[tuple[str, Term, None]]]
+) -> Term:
+    """Type a constant spine, filling the slot of each metavariable it binds;
+    returns the spine's type."""
+    head, args = spine(pattern)
+    if type(head) is not Const:
+        raise IllFormedPatternError("pattern head must be a constant")
+    entry = env.lookup(head.name)
     if not isinstance(entry, Decl):
-        raise IllFormedPatternError(f"pattern head {pattern.head} must be a declared constant")
+        raise IllFormedPatternError(f"pattern head {head.name} must be a declared constant")
     ty = entry.type
     fuel = Fuel()
-    for parg in pattern.args:
+    for parg in args:
         tyw = whnf(env, ty, (), fuel)
         if not isinstance(tyw, Pi):
-            raise IllFormedPatternError(f"pattern head {pattern.head} is applied too many times")
-        if isinstance(parg, MetaArg):
+            raise IllFormedPatternError(f"pattern head {head.name} is applied too many times")
+        if type(parg) is Var:
+            if slots[parg.index] is not None:
+                raise IllFormedPatternError(f"metavariable ${parg.hint} occurs twice")
             if tyw.dom.fa != 0:
                 raise IllFormedPatternError(
                     f"type of ${parg.hint} depends on earlier pattern arguments"
                 )
-            types[parg.index] = tyw.dom
-            arg_term: Term = Var(parg.index, parg.hint)
+            slots[parg.index] = (parg.hint, tyw.dom, None)
+        elif type(parg) in (Const, App):
+            if not convert(env, _type_pattern(env, parg, slots), tyw.dom):
+                rigid = spine(parg)[0].name  # type: ignore[attr-defined]
+                raise IllFormedPatternError(f"rigid pattern argument {rigid} has the wrong type")
         else:
-            sub_ty = _type_pattern(env, parg, types)
-            if not convert(env, sub_ty, tyw.dom):
-                raise IllFormedPatternError(
-                    f"rigid pattern argument {parg.head} has the wrong type"
-                )
-            arg_term = pattern_term(parg)
-        ty = subst(tyw.cod, arg_term)
+            raise IllFormedPatternError("pattern arguments are metavariables or constant spines")
+        ty = subst(tyw.cod, parg)
     return ty

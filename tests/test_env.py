@@ -4,8 +4,7 @@ from pts_kernel.env import (
     Decl,
     Def,
     GlobalEnv,
-    MetaArg,
-    Pattern,
+    Rewrite,
     add_entry,
     unfold_all,
 )
@@ -17,7 +16,7 @@ from pts_kernel.errors import (
 from pts_kernel.parser import build_rewrite, elaborate, parse_term_surface
 from pts_kernel.reduce import REWRITE_FIRE, head_def_step
 from pts_kernel.specs import LAMBDA_HOL, LAMBDA_U_MINUS
-from pts_kernel.terms import BOX_T, Const, Let, Var, alpha_eq
+from pts_kernel.terms import BOX_T, App, Const, Lam, Let, Var, alpha_eq, app
 from pts_kernel.typecheck import whnf
 
 
@@ -91,10 +90,37 @@ def test_rule_fire_requires_head_constant(simple):
     assert whnf(env, t) == t
 
 
+def _pattern_env():
+    env = GlobalEnv(LAMBDA_HOL)
+    for name, ty in [("A", "*"), ("a", "A"), ("f", "A -> A -> A"), ("g", "A -> A")]:
+        env = add_entry(env, Decl(name, _term(ty, env)))
+    return env
+
+
 def test_left_linearity_enforced():
-    p = Pattern("match", (MetaArg(0, "u"), MetaArg(0, "u")))
-    with pytest.raises(IllFormedPatternError):
-        p.validate()
+    # A rule built without the parser: add_entry's check refuses it.
+    lhs = app(Const("f"), Var(0, "u"), Var(0, "u"))
+    with pytest.raises(IllFormedPatternError) as err:
+        add_entry(_pattern_env(), Rewrite("r", lhs, Var(0, "u")))
+    assert str(err.value) == "metavariable $u occurs twice"
+
+
+@pytest.mark.parametrize(
+    "lhs, message",
+    [
+        (app(Const("f"), Var(2, "x"), Var(0, "y")), "metavariable indices must be dense"),
+        (App(Var(0, "x"), Const("a")), "pattern head must be a constant"),
+        (
+            App(Const("g"), Lam("x", Const("A"), Var(0, "x"))),
+            "pattern arguments are metavariables or constant spines",
+        ),
+    ],
+    ids=["sparse-indices", "var-head", "fun-argument"],
+)
+def test_ill_formed_term_patterns_are_refused(lhs, message):
+    with pytest.raises(IllFormedPatternError) as err:
+        add_entry(_pattern_env(), Rewrite("r", lhs, Const("a")))
+    assert str(err.value) == message
 
 
 def test_rewrite_head_must_be_declared(simple):
