@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .errors import DuplicateNameError, TypeCheckError, UNKNOWN_CONSTANT
+from .errors import DuplicateNameError, IllFormedPatternError, TypeCheckError, UNKNOWN_CONSTANT
 from .specs import PtsSpec
 from .terms import HOLE, App, Const, Lam, Let, Pi, SortT, Term, Var, spine, subst
 
@@ -42,7 +42,10 @@ class Rewrite:
 
     @property
     def head(self) -> str:
-        return spine(self.lhs)[0].name  # type: ignore[attr-defined]
+        head = spine(self.lhs)[0]
+        if type(head) is not Const:
+            raise IllFormedPatternError("pattern head must be a constant")
+        return head.name
 
 
 EnvEntry = Union[Decl, Def, Rewrite]
@@ -66,10 +69,10 @@ class _Table:
             self.append(e)
 
     def append(self, entry: EnvEntry) -> None:
-        self.order[entry.name] = len(self.entries)
-        self.entries.append(entry)
         if isinstance(entry, Rewrite):
             self.rules.setdefault(entry.head, []).append(entry)
+        self.order[entry.name] = len(self.entries)
+        self.entries.append(entry)
 
 
 class GlobalEnv:

@@ -123,6 +123,17 @@ def test_ill_formed_term_patterns_are_refused(lhs, message):
     assert str(err.value) == message
 
 
+def test_unchecked_extension_refuses_a_rule_without_a_constant_head():
+    # `extended` and the constructor skip add_entry's check; indexing the
+    # rule by its head still refuses it with a kernel error.
+    rule = Rewrite("r", Var(0, "x"), Var(0, "x"))
+    env = GlobalEnv(LAMBDA_HOL)
+    for build in (lambda: env.extended(rule), lambda: GlobalEnv(LAMBDA_HOL, [rule])):
+        with pytest.raises(IllFormedPatternError, match="^pattern head must be a constant$"):
+            build()
+    assert "r" not in env and env.extended(Decl("r", BOX_T)).entries == (Decl("r", BOX_T),)
+
+
 def test_rewrite_head_must_be_declared(simple):
     with pytest.raises(IllFormedPatternError):
         build_rewrite(
