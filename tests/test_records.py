@@ -1,5 +1,10 @@
 """The kernel's records: the equality, hashing, mutability and defaults that
-callers rely on."""
+callers rely on, and a start-up that loads no record-building machinery."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,3 +90,16 @@ def test_mutable_defaults_are_fresh_per_instance():
     assert bundles[0].conv_goals is not bundles[1].conv_goals
     assert Trace(A, str, str).steps is not Trace(A, str, str).steps
 
+
+def test_start_up_loads_no_record_machinery():
+    # `dataclasses` alone pulls `inspect`, `ast` and `dis` into every `pts` start-up.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, pts_kernel, pts_kernel.cli\n"
+        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (out.returncode, out.stderr, out.stdout) == (0, "", "\n")
