@@ -7,7 +7,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import DuplicateNameError, IllFormedPatternError, TypeCheckError, UNKNOWN_CONSTANT
 from .specs import PtsSpec
-from .terms import HOLE, App, Const, Lam, Let, Pi, SortT, Term, Var, spine, subst
+from .terms import HOLE, App, Const, Lam, Let, Pi, SortT, Term, Var, compile_template, spine, subst
 
 
 _set = object.__setattr__  # how a Value's __init__ writes its fields
@@ -84,16 +84,17 @@ EnvEntry = Union[Decl, Def, Rewrite]
 
 class _Table:
     """The entries shared by an environment and its extensions, and what is
-    derived from them.  Only ever appended to, so a view of its first ``n``
-    entries never changes."""
+    derived from them: unfoldings, templates and fold names.  Only ever
+    appended to, so a view of its first ``n`` entries never changes."""
 
-    __slots__ = ("entries", "order", "rules", "unfolded", "indexed", "folds")
+    __slots__ = ("entries", "order", "rules", "unfolded", "templates", "indexed", "folds")
 
     def __init__(self, entries: Iterable[EnvEntry] = ()) -> None:
         self.entries: list[EnvEntry] = []
         self.order: dict[str, int] = {}
         self.rules: dict[str, list[Rewrite]] = {}
         self.unfolded: dict[str, Term] = {}  # name -> full unfolding
+        self.templates: dict[str, tuple] = {}  # name -> terms.compile_template of its body
         self.indexed = 0  # entries scanned into ``folds``
         self.folds: dict[Term, list[int]] = {}  # unfolding -> definitions, oldest first
         for e in entries:
@@ -146,6 +147,11 @@ class GlobalEnv:
         i = self._table.order.get(name, self._size)
         entry = self._table.entries[i] if i < self._size else None
         return entry.body if isinstance(entry, Def) else None
+
+    def template(self, name: str) -> tuple:
+        """``terms.compile_template`` of definition ``name``'s body, once per table."""
+        cache = self._table.templates
+        return cache.get(name) or cache.setdefault(name, compile_template(self.def_body(name)))
 
     def age(self, name: str) -> int:
         """Position in the environment, -1 if absent; later entries are younger."""

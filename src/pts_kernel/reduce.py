@@ -12,8 +12,9 @@ observable state is the readback that flattens pending spine substitutions.
 
 Head-def steps and readback hold a state as a head and an argument stack (the
 Krivine machine's): an event pops the arguments it consumes, and the result's
-spine is pushed, so no step rebuilds the whole application.  Loop search keys
-a head-def state by the tuple ``(head, *args)``.
+spine is pushed, so no step rebuilds the whole application; a definition's
+compiled template pushes its result's arguments without building a spine.
+Loop search keys a head-def state by the tuple ``(head, *args)``.
 
 Head-linear reduction runs on a resumable machine (``_LinearMachine``) that
 keeps a zipper on the head path: the nodes from the root to the tip, what

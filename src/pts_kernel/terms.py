@@ -12,13 +12,14 @@ becomes.  ``instantiate`` is simultaneous substitution: it eliminates a
 whole run of binders in one pass, as a ``fun`` chain applied to its
 arguments does, and ``subst`` is its one-value case.  The traversal returns
 every subterm with no variable at or above the cutoff (``fa <= cutoff``) as
-the same object, which callers rely on.  ``occurs`` asks whether one
-variable occurs, by reading alone.
+the same object, which callers rely on.  ``compile_template`` compiles a
+definition's body once into closures that build what ``instantiate`` would
+from it.  ``occurs`` asks whether one variable occurs, by reading alone.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 
 class Sort:
@@ -56,10 +57,6 @@ class Term:
         if not isinstance(other, Term):
             return NotImplemented
         return alpha_eq(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __repr__(self) -> str:
         return _debug_repr(self)
@@ -271,6 +268,38 @@ def instantiate(t: Term, sigma: list[Term], depth: int = 0) -> Term:
         return shift(sigma[i], c) if i < n else Var(v.index - n, v.hint)
 
     return _reindex(t, depth, leaf)
+
+
+def compile_template(body: Term) -> tuple[int, Optional[tuple[Callable, list[Callable]]]]:
+    """``n`` for ``body = fun x₁ … xₙ => t`` and, if ``t`` is ``h b₁ … bₘ``
+    (its spine cut above its first closed node), closures that build ``h``
+    and ``bₘ … b₁``: on ``σ``, each gives what ``instantiate(t, σ)`` makes of it."""
+    n = 0
+    while type(body) is Lam:
+        n, body = n + 1, body.body
+    if not n or type(body) is not App:
+        return n, None
+    args = []
+    while type(body) is App and body.fa:
+        args.append(_build(body.arg, n, 0))
+        body = body.fn
+    return n, (_build(body, n, 0), args)
+
+
+def _build(t: Term, n: int, c: int) -> Callable[[list[Term]], Term]:
+    """``instantiate(t, σ, c)`` as a closure over a ``σ`` of length ``n``."""
+    if t.fa <= c:
+        return lambda s: t
+    cls = type(t)
+    if cls is Var and (i := t.index - c) < n:
+        return (lambda s: s[i]) if c == 0 else lambda s: shift(s[i], c)
+    if cls is App:
+        fn, arg = _build(t.fn, n, c), _build(t.arg, n, c)
+        return lambda s: App(fn(s), arg(s))
+    if cls is Lam or cls is Pi:
+        dom, body = _build(t.dom, n, c), _build(t.cod if cls is Pi else t.body, n, c + 1)
+        return lambda s: cls(t.hint, dom(s), body(s))
+    return lambda s: instantiate(t, s, c)  # a ``let``, or a variable past ``σ``
 
 
 def subst(body: Term, value: Term, j: int = 0) -> Term:

@@ -5,7 +5,8 @@ let-bound alike), and rho (declared rewrite rules fired at the head).  The
 strategy is whnf-then-structural with lazy delta: a spine headed by a defined
 constant is first compared against an equal-named spine argumentwise, and only
 unfolded when that fails or when heads differ.  Each head step is one
-``_head_event`` on a head and its argument stack, shared with ``reduce``.
+``_head_event`` on a head and its argument stack, shared with ``reduce``; a
+definition given all its parameters unfolds by its template.
 
 One ``convert`` call memoizes every sub-problem it decides, true or false, so
 an argument comparison that failed before an unfolding is not solved again
@@ -111,10 +112,11 @@ def _head_event(
     last), popping the arguments it consumes: ``(kind, detail, result)``, or
     None when the head is normal.  A ``fun`` chain contracts (detail: the
     arguments consumed); a ``let``, or a variable with a value in ``ctx``,
-    unfolds under its hint; a defined constant unfolds unless ``lazy_defs``,
-    its body contracting at once if a ``fun``; a declared constant fires its
-    first matching rule if ``use_rules``.  ``fuel`` pays per unfolding,
-    argument and rule; without it, a fresh ``Fuel()`` meters only rules."""
+    unfolds under its hint; a defined constant unfolds unless ``lazy_defs``, by
+    its template if given all its parameters, else its ``fun`` body contracts
+    at once; a declared constant fires its first matching rule if
+    ``use_rules``.  ``fuel`` pays per unfolding, argument and rule; without it,
+    a fresh ``Fuel()`` meters only rules."""
     cls = type(head)
     if cls is Lam and stack:
         count = len(stack)
@@ -134,6 +136,14 @@ def _head_event(
             if fuel is not None:
                 fuel.spend()
             if type(body) is Lam:
+                n, pieces = env.template(head.name)
+                if pieces is not None and len(stack) >= n:
+                    if fuel is not None:
+                        for _ in range(n):
+                            fuel.spend()
+                    sigma, (build_head, build_args) = stack[-n:], pieces
+                    stack[-n:] = [build(sigma) for build in build_args]
+                    return DELTA_UNFOLD, head.name, build_head(sigma)
                 body = contract_head(body, stack, fuel)
             return DELTA_UNFOLD, head.name, body
         if use_rules and (fired := _try_rules(env, head.name, stack, ctx, fuel or Fuel())):
@@ -155,10 +165,11 @@ def _head_reduce(
 
 def contract_head(t: Term, stack: list[Term], fuel: Optional[Fuel] = None) -> Term:
     """Contract the redex ``t``, a ``let`` or a ``fun`` applied to ``stack``
-    (innermost argument last), and return the result.  A ``let`` substitutes
-    its definition; a ``fun`` chain pops the arguments it binds into one
-    ``instantiate`` pass, going on while the result is a ``fun`` and arguments
-    remain.  ``fuel``, if any, pays once per ``let`` and per argument, first."""
+    (innermost argument last), and return the result: every contraction but a
+    definition built from its template.  A ``let`` substitutes its definition;
+    a ``fun`` chain pops the arguments it binds into one ``instantiate`` pass,
+    going on while the result is a ``fun`` and arguments remain.  ``fuel``, if
+    any, pays once per ``let`` and per argument, first."""
     if type(t) is Let:
         if fuel is not None:
             fuel.spend()
@@ -290,13 +301,9 @@ def _conv_rigid(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel, memo: Me
             heads_ok = i == j
         case Const(n1), Const(n2):
             heads_ok = n1 == n2
-        case Lam(_, d1, b1), Lam(_, d2, b2):
+        case (Lam(_, d1, b1), Lam(_, d2, b2)) | (Pi(_, d1, b1), Pi(_, d2, b2)):
             heads_ok = _conv(env, d1, d2, ctx, fuel, memo) and _conv(
                 env, b1, b2, push(ctx, ha.hint, d1), fuel, memo
-            )
-        case Pi(_, d1, c1), Pi(_, d2, c2):
-            heads_ok = _conv(env, d1, d2, ctx, fuel, memo) and _conv(
-                env, c1, c2, push(ctx, ha.hint, d1), fuel, memo
             )
         case _:
             heads_ok = False

@@ -105,3 +105,17 @@ def test_trace_at_depth(shape, env):
         assert rows == [src, f"f ({src[3:-1]})"]
     else:
         assert rows == [src]
+
+
+def test_definition_body_at_depth():
+    # The body is compiled once into closures that nest as deep as the body,
+    # as deep as instantiate's traversal of it goes.
+    def nest(leaf):
+        return "g (" * (DEPTH - 1) + f"g {leaf}" + ")" * (DEPTH - 1)
+
+    lines = [f"def d : A -> A := fun (x : A) => {nest('x')}", "trace (d a) 1",
+             f"conv (d a) ({nest('a')})"]
+    report = run_program(PRELUDE + "".join(line + ".\n" for line in lines))
+    assert report.ok, report.render()[-200:]
+    rows = ["def d : A -> A", "trace d a [max-steps]", "  d a", "  " + nest("a")]
+    assert [line.text for line in report.lines[-5:]] == rows + ["conv d a == " + nest("a")]

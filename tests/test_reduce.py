@@ -10,7 +10,7 @@ from test_terms import FREE, _exact, _random_term, _ref_subst
 from pts_kernel import reduce
 from pts_kernel.corpus import BUNDLE_IDS, get_bundle, run_program
 from pts_kernel.display import fold_display
-from pts_kernel.env import GlobalEnv, unfold_all
+from pts_kernel.env import Decl, Def, GlobalEnv, unfold_all
 from pts_kernel.errors import ErasureNeedsTypesError, KernelError
 from pts_kernel.parser import elaborate, parse_term_surface
 from pts_kernel.reduce import (
@@ -29,7 +29,8 @@ from pts_kernel.reduce import (
     trace,
 )
 from pts_kernel.specs import PRESETS
-from pts_kernel.terms import App, Const, HOLE, Lam, Let, STAR_T, Var, alpha_eq, app, spine
+from pts_kernel.terms import App, Const, HOLE, Lam, Let, STAR_T, Var, alpha_eq, app, instantiate
+from pts_kernel.terms import spine
 from pts_kernel.typecheck import Fuel, whnf
 
 
@@ -95,8 +96,21 @@ const A : *.
 const a : A.
 def b : A -> A := fun (y : A) => y.
 def c : (A -> A) -> A -> A := fun (x : A -> A) => x.
+def pa : (A -> A) -> A := fun (f : A -> A) => f a.
+def cp : A -> A := fun (y : A) => b y.
+def so : ((A -> A) -> A) -> (A -> A) -> A := fun (h : (A -> A) -> A) (p : A -> A) => h (p∘b).
+def k : (A -> A -> A) -> A -> A := fun (u : A -> A -> A) (v : A) => u v v.
+def sh : A -> A := fun (x : A) => k (fun (y : A) (z : A) => x) x.
+def lt : A -> A := fun (x : A) => c (fun (w : A) => let z : A := x in w) x.
+def kc : A -> A := fun (x : A) => k (fun (y : A) (z : A) => y) x.
 """
 ).env
+# Definitions whose bodies end in an application unfold by their compiled
+# templates once given all their parameters: a parameter head with a closed
+# argument (pa), a constant head on a parameter (cp), an open fun over a
+# parameter, as s₁'s p∘δ (so), a parameter under two binders (sh), a let in
+# an argument, under a binder (lt), and a spine with a closed prefix (kc).
+TEMPLATE_HEADS = [Const(name) for name in ("pa", "cp", "so", "sh", "lt", "kc")]
 
 
 def test_chain_continues_through_a_substituted_fun():
@@ -112,6 +126,29 @@ def test_chain_continues_through_a_substituted_fun():
         fuel = Fuel(10)
         assert whnf(env, t, fuel=fuel) == a
         assert fuel.left == left
+
+
+def test_head_def_step_keeps_argument_nodes(refined):
+    # The trace printer caches strings by node identity, so an argument a
+    # parameter passes on comes back as the node given, not a copy.
+    t = refined.key_terms["bottomProof"]  # l₀ p₀ l₂ l₁
+    out = head_def_step(refined.env, t)[2]  # l₁ x₀ l₂ (s₂ p₀ l₁)
+    assert spine(out)[1][1] is spine(t)[1][1]
+    # A closed subterm of the body is shared too, also a spine's closed prefix.
+    out = head_def_step(CHAIN_ENV, App(Const("kc"), Var(0)))[2]  # k (fun y z => y) Var(0)
+    assert out.fn is CHAIN_ENV.def_body("kc").body.fn
+
+
+def test_dangling_variable_of_an_unchecked_definition_unfolds_as_instantiate():
+    # GlobalEnv(spec, entries) checks nothing: a body may use a variable
+    # beyond its binders, which unfolding lowers past them as instantiate does.
+    A = Const("A")
+    interior = app(Var(0, "x"), Var(3, "w"), Lam("y", A, Var(4, "v")))
+    env = GlobalEnv(PRESETS["lambda-hol"], [Decl("A", STAR_T), Def("k", A, Lam("x", A, interior))])
+    want = app(Const("a"), Var(2, "w"), Lam("y", A, Var(3, "v")))
+    assert _exact(instantiate(interior, [Const("a")])) == _exact(want)
+    step = head_def_step(env, App(Const("k"), Const("a")))
+    assert step[:2] == ("delta-unfold", "k") and _exact(step[2]) == _exact(want)
 
 
 def _ref_contract(fn, args):
@@ -176,10 +213,11 @@ def _chain(rng, free):
     return t
 
 
-def _applied_chain(rng):
-    """An open head applied to zero to four open arguments, some of them ``fun``s."""
-    heads = [Const("b"), Const("c"), _chain(rng, FREE), _random_term(rng, 3, FREE)]
-    head = rng.choice(heads)
+def _applied_chain(rng, head=None):
+    """An open head, ``head`` if given, applied to zero to four open
+    arguments, some of them ``fun``s."""
+    if head is None:
+        head = rng.choice([Const("b"), Const("c"), _chain(rng, FREE), _random_term(rng, 3, FREE)])
     args = [
         _chain(rng, FREE) if rng.random() < 0.5 else _random_term(rng, 3, FREE)
         for _ in range(rng.randint(0, 4))
@@ -199,9 +237,14 @@ def _redex_under_chain(rng):
 
 
 # Applied chains, and funs over them: a contraction of the latter often
-# leaves a fun applied at the head, which the former rarely builds.
-CHAINS = st.randoms(use_true_random=False).map(
-    lambda rng: _applied_chain(rng) if rng.random() < 0.5 else _redex_under_chain(rng)
+# leaves a fun applied at the head, which the former rarely builds.  The
+# template heads come from their own sampled_from: rng.choice on this random
+# favours some positions of a list, and left some heads nearly undrawn.
+CHAINS = st.one_of(
+    st.randoms(use_true_random=False).map(
+        lambda rng: _applied_chain(rng) if rng.random() < 0.5 else _redex_under_chain(rng)
+    ),
+    st.builds(_applied_chain, st.randoms(use_true_random=False), st.sampled_from(TEMPLATE_HEADS)),
 )
 
 
