@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional
 
@@ -71,12 +70,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
         for row in tr.displays:
             print(row)
     else:
-        print(json.dumps({"index": 0, "event": "start", "display": tr.start_display,
-                          "raw": tr.plain(tr.start)}, ensure_ascii=False))
+        import json  # only structured rows need it
+        encode = json.JSONEncoder(ensure_ascii=False).encode
+        print(encode({"index": 0, "event": "start", "display": tr.start_display,
+                      "raw": tr.plain(tr.start)}))
         for s in tr.steps:
-            print(json.dumps({"index": s.index, "event": s.kind, "detail": s.detail,
-                              "display": s.display, "raw": tr.plain(s.raw)},
-                             ensure_ascii=False))
+            print(encode({"index": s.index, "event": s.kind, "detail": s.detail,
+                          "display": s.display, "raw": tr.plain(s.raw)}))
     return 0
 
 

@@ -92,12 +92,13 @@ def test_mutable_defaults_are_fresh_per_instance():
 
 
 def test_start_up_loads_no_record_machinery():
-    # `dataclasses` alone pulls `inspect`, `ast` and `dis` into every `pts` start-up.
+    # `dataclasses` alone pulls `inspect`, `ast` and `dis` into every `pts` start-up;
+    # `json` serves only structured traces, which import it themselves.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, pts_kernel, pts_kernel.cli\n"
-        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules])"
+        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'json') if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
