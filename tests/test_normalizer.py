@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from normalizer import normalize
 from pts_kernel.cli import run_program
-from pts_kernel.errors import FUEL_EXHAUSTED, TypeCheckError
+from pts_kernel.errors import DOMAIN_MISMATCH, FUEL_EXHAUSTED, TypeCheckError
 from pts_kernel.parser import elaborate, parse_term_surface
-from pts_kernel.reduce import head_def_step
+from pts_kernel.reduce import LINEAR_SUBST, _LinearMachine, head_def_step, head_linear_step
 from pts_kernel.terms import Const, alpha_eq
 from pts_kernel.typecheck import Fuel, check, convert
 
@@ -181,3 +181,45 @@ def test_head_def_steps_preserve_types(case):
             break
         t = step[2]
         check(ENV, t, ty)
+
+
+# Head-linear steps do not preserve types: a step substitutes one occurrence
+# and leaves the redex that bound it in place, so the state can put a value
+# where the still-abstract type of its binder is expected.  What holds is
+# subject reduction of the observable state: the readback taken while no
+# unapplied ``fun`` lies on the head path.
+
+
+def test_head_linear_state_can_be_ill_typed():
+    # n1 A f a unfolds n1 and succ, then puts f : A -> A in place of s,
+    # under the abstraction over X that still awaits its argument A.
+    t, ty = _term("n1 A f a"), _term("A")
+    for kind in ("delta-unfold", "delta-unfold", LINEAR_SUBST):
+        step = head_linear_step(ENV, t)
+        assert step[0] == kind
+        t = step[2]
+    try:
+        check(ENV, t, ty)
+    except TypeCheckError as err:
+        assert err.kind == DOMAIN_MISMATCH
+        assert str(err).startswith("DomainMismatch: expected A, found X")
+    else:
+        raise AssertionError("the third state type-checks")
+    machine = _LinearMachine(ENV, _term("n1 A f a"))
+    for _ in range(3):
+        machine.step()
+    assert machine.open == 0
+    check(ENV, machine.observation(), ty)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TYPES).flatmap(lambda ty: st.tuples(st.just(ty), terms(ty))))
+def test_head_linear_readbacks_preserve_types(case):
+    ty_src, src = case
+    ty = _term(ty_src)
+    machine = _LinearMachine(ENV, _term(src))
+    for _ in range(5):
+        if machine.step() is None:
+            break
+        if machine.open == 0:
+            check(ENV, machine.observation(), ty)
