@@ -23,13 +23,17 @@ yet, and the binder depth.  A step replaces the occurrence at the tip and
 leaves the path above it unchanged, so the next step resumes at the tip
 instead of walking down from the root; the full state term is rebuilt only
 when a caller asks for it (``trace`` does, loop search does not).  The
-machine also keeps the readback of its state up to date.  While no
-unapplied ``fun`` lies on the path, a linear substitution leaves the readback
-unchanged, and a delta-unfold of ``c`` turns a readback ``c a1 .. an`` into
-``readback(body a1 .. an)``.  Otherwise (an unapplied ``fun`` on the path,
-or a readback whose head is not ``c``) it reads back the rebuilt state in
-full.  Each readback has its own contraction budget.  ``head_linear_step`` is
-one step of a fresh machine.
+machine also keeps the readback of its state up to date, as a head and an
+argument stack: loop search keys head-linear states by ``(head, *stack)``
+too.  While no unapplied ``fun`` lies on the path, a linear substitution
+leaves the readback unchanged, and a delta-unfold of ``c`` on a readback
+headed by ``c`` is a head-def event on that stack (by ``c``'s template when
+it gets all its parameters), after which the readback's contractions go on
+from the result.  Otherwise (an unapplied ``fun`` on the path, or a readback
+whose head is not ``c``) it reads back the rebuilt state in full.  Each
+readback has its own contraction budget, and an unfolding that contracts a
+``fun`` chain spends one unit of it.  ``head_linear_step`` is one step of a
+fresh machine.
 
 Erasure comes in two modes.  ``annotations`` drops binder annotations and
 turns type-level subterms (sorts and products in term position) into an opaque
@@ -59,7 +63,6 @@ from .terms import (
     Var,
     app,
     shift,
-    spine,
     unwind,
 )
 from .typecheck import BETA_CONTRACT, DELTA_UNFOLD, REWRITE_FIRE, Ctx, _head_event, contract_head
@@ -159,7 +162,8 @@ class _LinearMachine:
         self.open = 0
         self.kind = ""
         self.name = ""  # the constant the last delta-unfold replaced
-        self._obs: Optional[Term] = None  # readback of the state, once asked for
+        self._key: Optional[tuple] = None  # readback as (head, *stack), once asked for
+        self._obs: Optional[Term] = None  # the readback as a term, once asked for
 
     def step(self) -> Optional[str]:
         """Replace the head occurrence by its binding; return the step's
@@ -203,23 +207,31 @@ class _LinearMachine:
         else:
             return None  # sort or product at head
         self.tip, self.kind = new, kind
-        obs = self._obs
-        if obs is not None:
+        key = self._key
+        if key is not None and (self.open or kind == DELTA_UNFOLD):
             # With no unapplied fun on the path the readback has substituted
             # every binder on it: a linear substitution leaves it unchanged,
-            # and a delta-unfold replaces its head constant.
-            if self.open:
-                self._obs = None
-            elif kind == DELTA_UNFOLD:
-                head, args = spine(obs)
-                same = type(head) is Const and head.name == self.name
-                self._obs = readback(app(new, *args)) if same else None
+            # and a delta-unfold unfolds its head constant.
+            head, self._key, self._obs = key[0], None, None
+            if not self.open and type(head) is Const and head.name == self.name:
+                stack = list(key[1:])
+                spent = 1 if type(new) is Lam and stack else 0
+                head = unwind(_head_event(self.env, head, stack)[2], stack)
+                self._key = (_contract(head, stack, spent)[0], *stack)
         return kind
+
+    def key(self) -> tuple:
+        """``readback`` of the current state as ``(head, *stack)``."""
+        if self._key is None:
+            stack: list[Term] = []
+            self._key = (_contract(unwind(self.term(), stack), stack)[0], *stack)
+        return self._key
 
     def observation(self) -> Term:
         """``readback`` of the current state."""
         if self._obs is None:
-            self._obs = readback(self.term())
+            key = self.key()
+            self._obs = app(key[0], *reversed(key[1:]))
         return self._obs
 
     def detail(self) -> str:
@@ -261,32 +273,40 @@ def readback(t: Term) -> Term:
     applied ``fun`` or a ``let``, one budget unit per ``contract_head``; a
     state that never gets there (a constant-free self-reducing one) raises."""
     stack: list[Term] = []
-    head, budget = unwind(t, stack), READBACK_BUDGET
-    while type(head) is Let or (type(head) is Lam and stack):
+    head, spent = _contract(unwind(t, stack), stack)
+    return app(head, *reversed(stack)) if spent else t
+
+
+def _contract(head: Term, stack: list[Term], spent: int = 0) -> tuple[Term, int]:
+    """Readback's contractions on ``head`` applied to ``stack``, ``spent``
+    budget units having gone already: the new head and the units spent."""
+    budget = READBACK_BUDGET
+    while spent <= budget and (type(head) is Let or (type(head) is Lam and stack)):
         head = unwind(contract_head(head, stack), stack)
-        budget -= 1
-        if budget < 0:
-            raise KernelError("readback exceeded its contraction budget")
-    return t if budget == READBACK_BUDGET else app(head, *reversed(stack))
+        spent += 1
+    if spent > budget:
+        raise KernelError("readback exceeded its contraction budget")
+    return head, spent
 
 
 def _walk(
     env: GlobalEnv, t: Term, strategy: str, limit: int, rows: bool = True
-) -> Iterator[tuple[tuple, object, Optional[tuple[int, int]]]]:
+) -> Iterator[tuple[tuple, tuple, Optional[tuple[int, int]]]]:
     """Step ``t`` at most ``limit`` times, yielding ``(step, key, loop)`` per step.
 
     ``step`` is ``(kind, detail, term)``, detail and term None unless ``rows``
     (a head-def state term is built only then).  ``key`` is the observation of
-    the new state: the readback under head-linear; under head-def the tuple
-    ``(head, *stack)``, equal to another exactly when the two applications
-    are alpha-equal, since a head is never an ``App``.  Observations are
-    numbered from 0 at ``t``; a step that leaves the state unchanged makes
-    none.  ``loop`` is None until a step revisits observation ``entry``, when
-    it is ``(entry, period)`` and the walk ends, as on a head-normal form."""
+    the new state, the readback under head-linear and the state under
+    head-def, as the tuple ``(head, *stack)``: equal to another exactly when
+    the two applications are alpha-equal, since a head is never an ``App``.
+    Observations are numbered from 0 at ``t``; a step that leaves the state
+    unchanged makes none.  ``loop`` is None until a step revisits observation
+    ``entry``, when it is ``(entry, period)`` and the walk ends, as on a
+    head-normal form."""
     linear = strategy == HEAD_LINEAR
     if linear:
         machine = _LinearMachine(env, t)
-        key: object = machine.observation()
+        key = machine.key()
     elif strategy == HEAD_DEF:
         stack: list[Term] = []
         head = unwind(t, stack)
@@ -300,7 +320,7 @@ def _walk(
             kind = machine.step()
             if kind is None:
                 return
-            key = machine.observation()
+            key = machine.key()
             result = (kind, machine.detail(), machine.term()) if rows else (kind, None, None)
         else:
             event = _head_event(env, head, stack)

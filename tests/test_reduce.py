@@ -2,9 +2,10 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from naive_reducer import is_subsequence, naive_head_step, naive_states
+from test_normalizer import ENV as HOL_ENV, TYPES, _term as _hol_term, terms
 from test_terms import FREE, _exact, _random_term, _ref_subst
 
 from pts_kernel import reduce
@@ -31,7 +32,7 @@ from pts_kernel.reduce import (
 from pts_kernel.specs import PRESETS
 from pts_kernel.terms import App, Const, HOLE, Lam, Let, STAR_T, Var, alpha_eq, app, instantiate
 from pts_kernel.terms import spine
-from pts_kernel.typecheck import Fuel, whnf
+from pts_kernel.typecheck import DELTA_UNFOLD, Fuel, whnf
 
 
 def _term(src, env):
@@ -367,6 +368,53 @@ def test_growing_spine_reaches_the_default_readback_budget():
         readback(App(grow, grow))
 
 
+def _unfolded_observation(body, *args):
+    """The observation after a head-linear machine unfolds ``d := body``
+    at the head of ``d args``, having observed the state before it."""
+    env = GlobalEnv(PRESETS["lambda-hol"], [Decl("a", STAR_T), Def("d", STAR_T, body)])
+    machine = reduce._LinearMachine(env, app(Const("d"), *args))
+    assert machine.observation() == app(Const("d"), *args)
+    assert machine.step() == DELTA_UNFOLD
+    return machine.observation()
+
+
+@pytest.mark.parametrize("budget, shift", itertools.product([1, 2, 3, 7], range(3)))
+def test_delta_step_spends_the_readback_budget_of_its_observation(budget, shift):
+    # The unfolding contracts d's fun chain, one budget unit, and the body's
+    # contractions take the rest.  ``fun x => C x`` given its parameter
+    # unfolds by its template; ``fun f => f`` has none, and its contraction
+    # goes on through the fun it substitutes.  A body with no fun chain costs
+    # nothing to unfold.
+    a = Const("a")
+    template = lambda n: Lam("x", STAR_T, App(_contractions(n, shift), Var(0, "x")))  # noqa: E731
+    ident = Lam("f", STAR_T, Var(0, "f"))
+    with mock.patch.object(reduce, "READBACK_BUDGET", budget):
+        assert _unfolded_observation(template(budget - 1), a) == App(a, a)
+        assert _unfolded_observation(ident, _contractions(budget - 1, shift), a) == App(a, a)
+        assert _unfolded_observation(_contractions(budget, shift), a) == App(a, a)
+        for body, args in (
+            (template(budget), [a]),
+            (ident, [_contractions(budget, shift), a]),
+            (_contractions(budget + 1, shift), [a]),
+        ):
+            with pytest.raises(KernelError, match="^readback exceeded its contraction budget$"):
+                _unfolded_observation(body, *args)
+
+
+@pytest.mark.parametrize("shift", range(3))
+def test_under_applied_delta_step_spends_one_budget_unit(shift):
+    # d given one of its two parameters contracts to a fun with no argument
+    # left: the unfolding is the observation's only contraction.  Given none,
+    # d unfolds to its body and contracts nothing.
+    body = Lam("x", STAR_T, Lam("y", STAR_T, _contractions(2, shift)))
+    with mock.patch.object(reduce, "READBACK_BUDGET", 1):
+        assert _unfolded_observation(body, Const("a")) == body.body
+    with mock.patch.object(reduce, "READBACK_BUDGET", 0):
+        assert _unfolded_observation(body) == body
+        with pytest.raises(KernelError, match="^readback exceeded its contraction budget$"):
+            _unfolded_observation(body, Const("a"))
+
+
 # -- head-linear steps --------------------------------------------------------
 
 
@@ -537,7 +585,7 @@ def _check_linear_walk(env, t, steps):
             ref = head_linear_step(env, cur)
             assert ref is not None and (kind, detail) == ref[:2]
             assert alpha_eq(state, ref[2]) and alpha_eq(state, row.raw)
-            assert alpha_eq(key, readback(row.raw))
+            assert alpha_eq(app(key[0], *reversed(key[1:])), readback(row.raw))
             cur = state
             taken += 1
         if tr.stopped == "head-normal" or taken == before:
@@ -573,6 +621,52 @@ def test_linear_substitution_keeps_the_observation(bundle_id, fast):
             assert machine.observation() is before
             kept += 1
     assert kept == fast
+
+
+@st.composite
+def _head_path_sources(draw):
+    """A generated lambda-HOL term of one of the normalizer's types, bare, under
+    a ``let`` or under an unapplied ``fun`` that its body may use, or a
+    numeral given all its arguments, so that its definitions get theirs."""
+    ty = draw(st.sampled_from(TYPES))
+    shape = draw(st.sampled_from(("bare", "let", "fun", "numeral")))
+    if shape == "numeral":
+        return f"({draw(terms('Nat'))}) A ({draw(terms('A -> A'))}) ({draw(terms('A'))})"
+    if shape == "let":
+        return f"let w : Nat := {draw(terms('Nat'))} in {draw(terms(ty, (('w', 'Nat'),)))}"
+    if shape == "fun":
+        return f"fun (w : A) => {draw(terms(ty, (('w', 'A'),)))}"
+    return draw(terms(ty))
+
+
+def _ref_linear_detect_loop(env, t, bound):
+    """Loop search by ``head_linear_step``, keyed on the readback term."""
+    prev = readback(t)
+    seen, cur = {prev: 0}, t
+    for steps in range(1, bound + 1):
+        step = head_linear_step(env, cur)
+        if step is None:
+            return LoopReport(False, 0, 0, bound, steps=steps - 1)
+        cur = step[2]
+        obs = readback(cur)
+        if obs != prev:
+            if obs in seen:
+                return LoopReport(True, seen[obs], len(seen) - seen[obs], bound, steps=steps)
+            seen[obs] = len(seen)
+            prev = obs
+    return LoopReport(False, 0, 0, bound, steps=bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(src=_head_path_sources())
+def test_linear_machine_observations_are_readbacks_of_generated_terms(src):
+    t = _hol_term(src)
+    machine = reduce._LinearMachine(HOL_ENV, t)
+    for _ in range(6):
+        if machine.step() is None:
+            break
+        assert _exact(machine.observation()) == _exact(readback(machine.term()))
+    assert detect_loop(HOL_ENV, t, HEAD_LINEAR, 30) == _ref_linear_detect_loop(HOL_ENV, t, 30)
 
 
 def test_head_variable_free_in_the_ambient_context_is_normal(simple):
@@ -656,19 +750,40 @@ def test_erase_turns_products_into_holes(reynolds):
     assert isinstance(p0, Lam) and p0.body == HOLE
 
 
+def _check_erasure_simulates_steps(env, t, mode, steps):
+    """Erasing a naive head step of ``t`` is a naive head step of the erased
+    term, for the first ``steps`` steps.  Returns the number checked."""
+    erased_env = erase_env(env, mode)
+    for taken in range(steps):
+        stepped = naive_head_step(env, t)
+        if stepped is None:
+            return taken
+        lhs = erase(stepped, mode, env=env)
+        rhs = naive_head_step(erased_env, erase(t, mode, env=env))
+        assert rhs is not None and alpha_eq(lhs, rhs)
+        t = stepped
+    return steps
+
+
 def test_annotation_erasure_simulates_beta(simple, refined):
     for bundle in (simple, refined):
-        env = bundle.env
-        erased_env = erase_env(env, ANNOTATIONS)
-        t = unfold_all(env, bundle.key_terms["bottomProof"])
-        for _ in range(40):
-            stepped = naive_head_step(env, t)
-            if stepped is None:
-                break
-            lhs = erase(stepped, ANNOTATIONS)
-            rhs = naive_head_step(erased_env, erase(t, ANNOTATIONS))
-            assert rhs is not None and alpha_eq(lhs, rhs)
-            t = stepped
+        t = unfold_all(bundle.env, bundle.key_terms["bottomProof"])
+        assert _check_erasure_simulates_steps(bundle.env, t, ANNOTATIONS, 40) == 40
+
+
+@settings(max_examples=100, deadline=None)
+@given(src=st.sampled_from(TYPES).flatmap(terms))
+def test_annotation_erasure_simulates_steps_of_generated_terms(src):
+    _check_erasure_simulates_steps(HOL_ENV, _hol_term(src), ANNOTATIONS, 40)
+
+
+@pytest.mark.parametrize("bundle_id", BUNDLE_IDS)
+def test_poly_erasure_simulates_steps(bundle_id):
+    # Poly erasure types what it erases, and a bundle's fully unfolded term
+    # needs products its system lacks: the steps unfold one constant at a time.
+    bundle = get_bundle(bundle_id)
+    t = bundle.key_terms["bottomProof"]
+    assert _check_erasure_simulates_steps(bundle.env, t, POLY, 40) == 40
 
 
 def test_strategies_are_deterministic(simple):
