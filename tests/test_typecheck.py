@@ -1,6 +1,9 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
-from pts_kernel import typecheck
+from pts_kernel import corpus, typecheck
 from pts_kernel.cli import run_program
 from pts_kernel.env import Decl, add_entry
 from pts_kernel.errors import TypeCheckError
@@ -200,10 +203,14 @@ def _numeral(k):
     return "zero" if k == 0 else "succ (" * (k - 1) + "succ zero" + ")" * (k - 1)
 
 
+CHURCH_DEV = NAT_PRELUDE + "".join(
+    f"def n{k} : Nat := {_numeral(k)}.\n" for k in (*range(31), 144, 200, 400)
+)
+
+
 @pytest.fixture(scope="module")
 def church():
-    defs = "".join(f"def n{k} : Nat := {_numeral(k)}.\n" for k in (*range(31), 144, 200, 400))
-    return run_program(NAT_PRELUDE + defs).env
+    return run_program(CHURCH_DEV).env
 
 
 @pytest.mark.parametrize(
@@ -308,3 +315,30 @@ def test_whnf_returns_a_head_normal_term_itself():
     # When an event fires, the result is rebuilt.
     out = whnf(env, _term("g (g a)", env))
     assert alpha_eq(out, _term("f (g a)", env))
+
+
+def test_conversion_fuel_is_pinned(monkeypatch):
+    # Every ``convert`` call made while the corpus files and the Church
+    # development are checked, with its verdict and the fuel it spent: a
+    # change to how conversion reduces must keep both per call.
+    calls = []
+    real = typecheck.convert
+
+    def recording(env, a, b, ctx=()):
+        fuel = Fuel()
+        verdict = real(env, a, b, ctx, fuel)
+        calls.append((verdict, fuel.budget - fuel.left))
+        return verdict
+
+    monkeypatch.setattr(typecheck, "convert", recording)
+    monkeypatch.setattr(corpus, "convert", recording)
+    corpus_dir = Path(__file__).resolve().parent.parent / "corpus"
+    sources = [p.read_text(encoding="utf-8") for p in sorted(corpus_dir.glob("*.pts"))]
+    for src in sources + [CHURCH_DEV]:
+        assert run_program(src).ok
+    digest = hashlib.sha256(repr(calls).encode("ascii")).hexdigest()
+    assert (len(calls), sum(spent for _, spent in calls), digest) == (
+        1785,
+        665,
+        "e92d62bcb0eba3460e100f100a983771f8db87cc8c51d5c0954aa9755c122e21",
+    )
