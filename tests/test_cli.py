@@ -259,13 +259,19 @@ _NESTED_RULES = (
          "ok    rewrite first\nok    rewrite flip\nok    rewrite apply\nok    def w : A\n"
          "ok    conv fst w == a\nok    conv fst w == a\n"
          "ok    conv swap (pair a (wrap c)) == pair c a\nok    conv k A (fst w) == a\n"),
+        ("const A : *.\nconst f : A -> A.\nconst a : A.\nrewrite r : f $x => f (f $x).\n"
+         "conv (f a) (f (f a)).\n", 1,
+         "ok    const A : *\nok    const f : A -> A\nok    const a : A\nok    rewrite r\n"
+         "FAIL  conv : FuelExhausted: conversion exceeded 100000 head steps\n"),
     ],
     ids=["defined-head", "too-many-args", "nonlinear", "rigid-wrong-type", "unknown-name",
-         "fun-arg", "meta-head", "dependent-meta", "sides-differ", "nested-rigid-fires"],
+         "fun-arg", "meta-head", "dependent-meta", "sides-differ", "nested-rigid-fires",
+         "growing-rule-runs-out-of-fuel"],
 )
 def test_rule_reports_are_pinned(tmp_path, capsys, src, status, report):
     # Every rule check's report, from the parser's shape errors to the typing
-    # of sides, and a file whose nested rigid patterns fire under conversion.
+    # of sides, a file whose nested rigid patterns fire under conversion, and
+    # one whose rule grows its subject until conversion runs out of fuel.
     f = tmp_path / "rules.pts"
     f.write_text(src, encoding="utf-8")
     assert main(["check", str(f)]) == status

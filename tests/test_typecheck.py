@@ -290,6 +290,27 @@ def test_rule_with_more_arguments_than_the_head_is_skipped():
     assert whnf(env, _term("f a b", env)) == Const("b")
 
 
+RIGID_DEV = (
+    "system lambda-hol.\nconst A : *.\nconst a : A.\nconst b : A.\nconst c : A.\n"
+    "const e : A -> A.\nconst wrap : forall (X : *), X -> X.\nconst g : A -> A -> A -> A.\n"
+    "const pair3 : A -> A -> A -> A.\n"
+    "def d : A -> A := fun (y : A) => (fun (z : A) => wrap A z) y.\n"
+    "rewrite r : g (wrap A $x) => pair3 $x.\n"
+)
+
+
+def test_rigid_sub_pattern_is_matched_on_the_subject_stack():
+    # `d a` shows `wrap` only after a delta and a beta step; the arguments
+    # past the pattern stay on the stack, in order.
+    env = run_program(RIGID_DEV).env
+    fuel = Fuel()
+    assert alpha_eq(whnf(env, _term("g (d a) b c", env), fuel=fuel), _term("pair3 a b c", env))
+    assert fuel.budget - fuel.left == 4
+    # `wrap (A -> A) e a` has one argument more than `wrap A $x`.
+    t = _term("g (wrap (A -> A) e a) b c", env)
+    assert whnf(env, t) is t
+
+
 LET_DEF = (
     "system lambda-hol.\nconst A : *.\nconst a : A.\nconst f : A -> A.\n"
     "def d : A := let y : A := a in y.\ndef g : A -> A := fun (x : A) => f x.\n"
