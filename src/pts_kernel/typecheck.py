@@ -1,12 +1,13 @@
 """Type inference and conversion for PTS terms.
 
 Conversion is beta (contraction), delta (transparent definitions, global and
-let-bound alike), and rho (declared rewrite rules fired at the head).  The
-strategy is whnf-then-structural with lazy delta: a spine headed by a defined
-constant is first compared against an equal-named spine argumentwise, and only
-unfolded when that fails or when heads differ.  Each head step is one
-``_head_event`` on a head and its argument stack, shared with ``reduce``; a
-definition given all its parameters unfolds by its template.
+let-bound alike), and rho (declared rewrite rules fired at the head).  Each
+head step is one ``_head_event`` on a head and its argument stack, shared with
+``reduce``; a definition given all its parameters unfolds by its template.
+Conversion and rule matching hold each side as such a head and stack, across
+unfoldings, with lazy delta: two rigid heads, or one defined constant on both
+sides, compare their arguments once, and a defined head unfolds only when that
+fails or when the heads differ.
 
 One ``convert`` call memoizes every sub-problem it decides, true or false, so
 an argument comparison that failed before an unfolding is not solved again
@@ -151,16 +152,19 @@ def _head_event(
     return None  # sorts, products, unapplied lambdas, free variables, holes
 
 
-def _head_reduce(
-    env: GlobalEnv, t: Term, ctx: Ctx, fuel: Fuel, lazy_defs: bool, use_rules: bool = True
+def _head_normal(
+    env: GlobalEnv,
+    head: Term,
+    stack: list[Term],
+    ctx: Ctx,
+    fuel: Fuel,
+    lazy_defs: bool,
+    use_rules: bool = True,
 ) -> Term:
-    """Apply ``_head_event`` until the head is normal; ``t`` itself, not
-    rebuilt, when no event fires."""
-    stack: list[Term] = []
-    head, fired = unwind(t, stack), False
+    """Apply ``_head_event`` until none fires; the head, its arguments left on ``stack``."""
     while (event := _head_event(env, head, stack, ctx, fuel, lazy_defs, use_rules)) is not None:
-        head, fired = unwind(event[2], stack), True
-    return app(head, *reversed(stack)) if fired else t
+        head = unwind(event[2], stack)
+    return head
 
 
 def contract_head(t: Term, stack: list[Term], fuel: Optional[Fuel] = None) -> Term:
@@ -190,41 +194,45 @@ def _try_rules(
     env: GlobalEnv, name: str, stack: list[Term], ctx: Ctx, fuel: Fuel
 ) -> Optional[tuple[str, Term]]:
     """Fire the first rule for ``name`` that matches ``stack``; pop what it consumes."""
-    rules = env.rules_for(name)
-    if not rules:
-        return None
-    args = list(reversed(stack))
-    for rule in rules:
-        pats = spine(rule.lhs)[1]
-        n = len(pats)
-        if len(args) < n:
-            continue
+    for rule in env.rules_for(name):
+        n, lhs_head = 0, rule.lhs
+        while type(lhs_head) is App:
+            n, lhs_head = n + 1, lhs_head.fn
         sigma: list[Optional[Term]] = [None] * rule.lhs.fa
-        if all(_match_modulo(env, pat, arg, ctx, fuel, sigma) for pat, arg in zip(pats, args)):
+        if len(stack) >= n and _match(env, rule.lhs, stack, n, ctx, fuel, sigma):
             fuel.spend()
             del stack[len(stack) - n :]
             return rule.name, instantiate(rule.rhs, sigma)  # type: ignore[arg-type]
     return None
 
 
-def _match_modulo(
-    env: GlobalEnv, pat: Term, t: Term, ctx: Ctx, fuel: Fuel, sigma: list[Optional[Term]]
+def _match(
+    env: GlobalEnv,
+    pat: Term,
+    stack: list[Term],
+    n: int,
+    ctx: Ctx,
+    fuel: Fuel,
+    sigma: list[Optional[Term]],
 ) -> bool:
-    """Match one pattern argument, unfolding the subject's head as needed.
-
-    A metavariable ``Var(i)`` captures the subject as given (folded); a rigid
-    constant spine reduces the subject by beta/delta/let until its head
-    constant shows, then matches argumentwise.
-    """
-    if type(pat) is Var:
-        sigma[pat.index] = t
+    """Match the ``n`` arguments of the constant spine ``pat``, first to last,
+    against ``stack[-1]`` to ``stack[-n]``: a metavariable ``Var(i)`` captures
+    its subject as given (folded); a rigid sub-pattern reduces its subject by
+    beta/delta/let onto a stack of its own and matches there."""
+    if n == 0:
         return True
-    t = _head_reduce(env, t, ctx, fuel, lazy_defs=False, use_rules=False)
-    phead, pats = spine(pat)
-    head, args = spine(t)
-    if head != phead or len(args) != len(pats):
+    if not _match(env, pat.fn, stack, n - 1, ctx, fuel, sigma):  # type: ignore[attr-defined]
         return False
-    return all(_match_modulo(env, p, a, ctx, fuel, sigma) for p, a in zip(pats, args))
+    sub_pat, t = pat.arg, stack[-n]  # type: ignore[attr-defined]
+    if type(sub_pat) is Var:
+        sigma[sub_pat.index] = t
+        return True
+    sub: list[Term] = []
+    head = _head_normal(env, unwind(t, sub), sub, ctx, fuel, lazy_defs=False, use_rules=False)
+    m, sub_head = 0, sub_pat
+    while type(sub_head) is App:
+        m, sub_head = m + 1, sub_head.fn
+    return head == sub_head and len(sub) == m and _match(env, sub_pat, sub, m, ctx, fuel, sigma)
 
 
 def whnf(env: GlobalEnv, t: Term, ctx: Ctx = (), fuel: Optional[Fuel] = None) -> Term:
@@ -233,7 +241,12 @@ def whnf(env: GlobalEnv, t: Term, ctx: Ctx = (), fuel: Optional[Fuel] = None) ->
     The result is headed by a sort, a product, an unapplied lambda, a variable
     spine, or an opaque-constant spine on which no rule fires.
     """
-    return _head_reduce(env, t, ctx, fuel or Fuel(), lazy_defs=False)
+    fuel = fuel or Fuel()
+    stack: list[Term] = []
+    left = fuel.left
+    head = _head_normal(env, unwind(t, stack), stack, ctx, fuel, lazy_defs=False)
+    # Every head event spends fuel: when none was spent, ``t`` is returned as is.
+    return t if fuel.left == left else app(head, *reversed(stack))
 
 
 def convert(env: GlobalEnv, a: Term, b: Term, ctx: Ctx = (), fuel: Optional[Fuel] = None) -> bool:
@@ -244,7 +257,7 @@ def convert(env: GlobalEnv, a: Term, b: Term, ctx: Ctx = (), fuel: Optional[Fuel
 # Verdicts decided within one ``convert`` call, keyed by both terms (hashed
 # structurally, compared up to alpha) and the context depth, or 0 for two
 # closed terms.  Depth stands for the context only within the call, because
-# ``_conv_rigid`` pushes only value-less binders onto the caller's context.
+# ``_conv_heads`` pushes only value-less binders onto the caller's context.
 Memo = dict[tuple[Term, Term, int], bool]
 
 
@@ -255,61 +268,45 @@ def _conv(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel, memo: Memo) ->
     verdict = memo.get(key)
     if verdict is not None:
         return verdict
-    a = _head_reduce(env, a, ctx, fuel, lazy_defs=True)
-    b = _head_reduce(env, b, ctx, fuel, lazy_defs=True)
-    while True:
-        if alpha_eq(a, b):
-            verdict = True
-            break
-        ha, aargs = spine(a)
-        hb, bargs = spine(b)
-        def_a = isinstance(ha, Const) and env.def_body(ha.name) is not None
-        def_b = isinstance(hb, Const) and env.def_body(hb.name) is not None
-        if (
-            isinstance(ha, Const)
-            and isinstance(hb, Const)
-            and ha.name == hb.name
-            and len(aargs) == len(bargs)
-            and all(_conv(env, x, y, ctx, fuel, memo) for x, y in zip(aargs, bargs))
-        ):
-            verdict = True
-            break
-        if not def_a and not def_b:
-            verdict = _conv_rigid(env, a, b, ctx, fuel, memo)
-            break
+    sa: list[Term] = []
+    sb: list[Term] = []
+    ha = _head_normal(env, unwind(a, sa), sa, ctx, fuel, lazy_defs=True)
+    hb = _head_normal(env, unwind(b, sb), sb, ctx, fuel, lazy_defs=True)
+    while not (len(sa) == len(sb) and alpha_eq(ha, hb) and all(map(alpha_eq, sa, sb))):
+        def_a = type(ha) is Const and env.def_body(ha.name) is not None
+        def_b = type(hb) is Const and env.def_body(hb.name) is not None
+        rigid = not def_a and not def_b
+        # Two rigid heads, or one definition on both sides, compare their
+        # arguments first to last; the definition unfolds if that fails.
+        if rigid or def_a and ha == hb:
+            verdict = len(sa) == len(sb) and _conv_heads(env, ha, hb, ctx, fuel, memo) and all(
+                _conv(env, x, y, ctx, fuel, memo) for x, y in zip(reversed(sa), reversed(sb))
+            )
+            if verdict or rigid:
+                break
         # Unfold one side at a time, younger definition first, re-checking
         # alignment after each unfolding; this lets a term meet its own
         # reduct instead of the two sides chasing each other.
         unfold_a = def_a and (not def_b or env.age(ha.name) >= env.age(hb.name))
-        head, stack = (ha, aargs[::-1]) if unfold_a else (hb, bargs[::-1])
+        head, stack = (ha, sa) if unfold_a else (hb, sb)
         event = _head_event(env, head, stack, ctx, fuel)  # unfolds the definition
-        new = _head_reduce(env, app(event[2], *reversed(stack)), ctx, fuel, lazy_defs=True)
-        a, b = (new, b) if unfold_a else (a, new)
+        head = _head_normal(env, unwind(event[2], stack), stack, ctx, fuel, lazy_defs=True)
+        ha, hb = (head, hb) if unfold_a else (ha, head)
+    else:
+        verdict = True
     memo[key] = verdict
     return verdict
 
 
-def _conv_rigid(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel, memo: Memo) -> bool:
-    ha, aargs = spine(a)
-    hb, bargs = spine(b)
-    if type(ha) is not type(hb) or len(aargs) != len(bargs):
-        return False
+def _conv_heads(env: GlobalEnv, ha: Term, hb: Term, ctx: Ctx, fuel: Fuel, memo: Memo) -> bool:
+    """Compare two rigid heads: two ``fun``s or two products by converting their
+    domains and bodies, a sort, variable or constant up to alpha."""
     match ha, hb:
-        case SortT(s1), SortT(s2):
-            heads_ok = s1 is s2
-        case Var(i, _), Var(j, _):
-            heads_ok = i == j
-        case Const(n1), Const(n2):
-            heads_ok = n1 == n2
         case (Lam(_, d1, b1), Lam(_, d2, b2)) | (Pi(_, d1, b1), Pi(_, d2, b2)):
-            heads_ok = _conv(env, d1, d2, ctx, fuel, memo) and _conv(
+            return _conv(env, d1, d2, ctx, fuel, memo) and _conv(
                 env, b1, b2, push(ctx, ha.hint, d1), fuel, memo
             )
-        case _:
-            heads_ok = False
-    if not heads_ok:
-        return False
-    return all(_conv(env, x, y, ctx, fuel, memo) for x, y in zip(aargs, bargs))
+    return alpha_eq(ha, hb)
 
 
 def _sort_of(env: GlobalEnv, t: Term, ctx: Ctx, what: str) -> Sort:
