@@ -47,7 +47,6 @@ from .terms import (
     app,
     arrow,
     shift,
-    spine,
     subst,
 )
 from .typecheck import Fuel, check, convert, infer, whnf

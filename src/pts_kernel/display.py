@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 from .env import GlobalEnv, unfold_all
 from .errors import TypeCheckError
-from .terms import App, BOX, Const, Lam, Let, Pi, SortT, TRIANGLE, Term, Var, occurs, spine
+from .terms import App, BOX, Const, Lam, Let, Pi, SortT, TRIANGLE, Term, Var, occurs, unwind
 
 Show = Callable[[Term], str]  # what ``printer`` returns
 
@@ -142,8 +142,10 @@ class _Printer:
         if s is None:
             render = self.render
             if cls is App:
-                head, args = spine(t)
-                s, level = " ".join([render(head, _ATOM)] + [render(a, _ATOM) for a in args]), _APP
+                args: list[Term] = []
+                head = unwind(t, args)
+                s = " ".join([render(head, _ATOM)] + [render(a, _ATOM) for a in reversed(args)])
+                level = _APP
             elif cls is Lam:
                 name, body_s = self._under(t.hint, t.body)
                 s, level = f"fun ({name} : {render(t.dom, _BINDER)}) => {body_s}", _BINDER

@@ -7,7 +7,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import DuplicateNameError, IllFormedPatternError, TypeCheckError, UNKNOWN_CONSTANT
 from .specs import PtsSpec
-from .terms import HOLE, App, Const, Lam, Let, Pi, SortT, Term, Var, compile_template, spine, subst
+from .terms import HOLE, App, Const, Lam, Let, Pi, SortT, Term, Var, compile_template, subst, unwind
 
 
 _set = object.__setattr__  # how a Value's __init__ writes its fields
@@ -55,7 +55,7 @@ class Def(Value):
 
 class Rewrite(Value):
     """Head rewrite rule ``lhs => rhs``; fires left-to-right once unfolding
-    exposes the constant ``head``.
+    exposes the constant that heads ``lhs``.
 
     Both sides are terms over the rule's metavariables: metavariable ``i``
     is ``Var(i)`` in ``lhs``, and ``Var(i + d)`` under ``d`` local binders
@@ -70,13 +70,6 @@ class Rewrite(Value):
         _set(self, "name", name)
         _set(self, "lhs", lhs)
         _set(self, "rhs", rhs)
-
-    @property
-    def head(self) -> str:
-        head = spine(self.lhs)[0]
-        if type(head) is not Const:
-            raise IllFormedPatternError("pattern head must be a constant")
-        return head.name
 
 
 EnvEntry = Union[Decl, Def, Rewrite]
@@ -102,7 +95,10 @@ class _Table:
 
     def append(self, entry: EnvEntry) -> None:
         if isinstance(entry, Rewrite):
-            self.rules.setdefault(entry.head, []).append(entry)
+            head = unwind(entry.lhs, [])
+            if type(head) is not Const:
+                raise IllFormedPatternError("pattern head must be a constant")
+            self.rules.setdefault(head.name, []).append(entry)
         self.order[entry.name] = len(self.entries)
         self.entries.append(entry)
 

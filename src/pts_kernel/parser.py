@@ -311,8 +311,10 @@ class _Parser:
         elif kind == "conv":
             parts = (self._atom(), self._atom())
         elif kind == "trace":
-            tm = self._atom()
-            parts = (tm, int(self.expect("number").text))
+            tm, n = self._atom(), self.expect("number")
+            if not n.text.isdecimal():  # "²" is a digit but no number ``int`` reads
+                raise ParseError(f"expected 'number', found {n.text!r}", n.line, n.col)
+            parts = (tm, int(n.text))
         else:
             raise ParseError(f"{kind!r} cannot start a directive", t.line, t.col)
         self.expect("punct", ".")

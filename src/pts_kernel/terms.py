@@ -308,16 +308,6 @@ def subst(body: Term, value: Term, j: int = 0) -> Term:
     return instantiate(body, [value], j)
 
 
-def spine(t: Term) -> tuple[Term, list[Term]]:
-    """Decompose nested applications into (head, arguments-in-order)."""
-    args: list[Term] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
-
-
 def unwind(t: Term, stack: list[Term]) -> Term:
     """Push the arguments of ``t``'s application spine onto ``stack``,
     innermost last, and return its head, which is never an ``App``."""
@@ -347,8 +337,9 @@ def _debug_repr(t: Term) -> str:
         case Const(name):
             return name
         case App(_, _):
-            head, args = spine(t)
-            return "(" + " ".join([_debug_repr(head)] + [_debug_repr(a) for a in args]) + ")"
+            args: list[Term] = []
+            head = unwind(t, args)
+            return f"({' '.join(map(_debug_repr, [head, *reversed(args)]))})"
         case Lam(h, dom, body):
             return f"(\\{h or '_'}:{_debug_repr(dom)}. {_debug_repr(body)})"
         case Pi(h, dom, cod):

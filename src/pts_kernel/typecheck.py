@@ -58,7 +58,6 @@ from .terms import (
     app,
     instantiate,
     shift,
-    spine,
     subst,
     unwind,
 )
@@ -195,44 +194,41 @@ def _try_rules(
 ) -> Optional[tuple[str, Term]]:
     """Fire the first rule for ``name`` that matches ``stack``; pop what it consumes."""
     for rule in env.rules_for(name):
-        n, lhs_head = 0, rule.lhs
-        while type(lhs_head) is App:
-            n, lhs_head = n + 1, lhs_head.fn
+        pats: list[Term] = []
+        unwind(rule.lhs, pats)
         sigma: list[Optional[Term]] = [None] * rule.lhs.fa
-        if len(stack) >= n and _match(env, rule.lhs, stack, n, ctx, fuel, sigma):
+        if len(stack) >= len(pats) and _match(env, pats, stack, ctx, fuel, sigma):
             fuel.spend()
-            del stack[len(stack) - n :]
+            del stack[len(stack) - len(pats) :]
             return rule.name, instantiate(rule.rhs, sigma)  # type: ignore[arg-type]
     return None
 
 
 def _match(
     env: GlobalEnv,
-    pat: Term,
+    pats: list[Term],
     stack: list[Term],
-    n: int,
     ctx: Ctx,
     fuel: Fuel,
     sigma: list[Optional[Term]],
 ) -> bool:
-    """Match the ``n`` arguments of the constant spine ``pat``, first to last,
-    against ``stack[-1]`` to ``stack[-n]``: a metavariable ``Var(i)`` captures
-    its subject as given (folded); a rigid sub-pattern reduces its subject by
-    beta/delta/let onto a stack of its own and matches there."""
-    if n == 0:
-        return True
-    if not _match(env, pat.fn, stack, n - 1, ctx, fuel, sigma):  # type: ignore[attr-defined]
-        return False
-    sub_pat, t = pat.arg, stack[-n]  # type: ignore[attr-defined]
-    if type(sub_pat) is Var:
-        sigma[sub_pat.index] = t
-        return True
-    sub: list[Term] = []
-    head = _head_normal(env, unwind(t, sub), sub, ctx, fuel, lazy_defs=False, use_rules=False)
-    m, sub_head = 0, sub_pat
-    while type(sub_head) is App:
-        m, sub_head = m + 1, sub_head.fn
-    return head == sub_head and len(sub) == m and _match(env, sub_pat, sub, m, ctx, fuel, sigma)
+    """Match the pattern stack ``pats`` against the top of ``stack``, both
+    innermost argument last, first argument to last, up to the first failure:
+    a metavariable ``Var(i)`` captures its subject as given (folded); a rigid
+    sub-pattern reduces its subject by beta/delta/let onto a stack of its own
+    and matches its own pattern stack there."""
+    for pat, t in zip(reversed(pats), reversed(stack)):
+        if type(pat) is Var:
+            sigma[pat.index] = t
+            continue
+        sub: list[Term] = []
+        head = _head_normal(env, unwind(t, sub), sub, ctx, fuel, lazy_defs=False, use_rules=False)
+        sub_pats: list[Term] = []
+        if head != unwind(pat, sub_pats) or len(sub) != len(sub_pats):
+            return False
+        if not _match(env, sub_pats, sub, ctx, fuel, sigma):
+            return False
+    return True
 
 
 def whnf(env: GlobalEnv, t: Term, ctx: Ctx = (), fuel: Optional[Fuel] = None) -> Term:
@@ -457,7 +453,8 @@ def _type_pattern(
 ) -> Term:
     """Type a constant spine, filling the slot of each metavariable it binds;
     returns the spine's type."""
-    head, args = spine(pattern)
+    args: list[Term] = []
+    head = unwind(pattern, args)
     if type(head) is not Const:
         raise IllFormedPatternError("pattern head must be a constant")
     entry = env.lookup(head.name)
@@ -465,7 +462,7 @@ def _type_pattern(
         raise IllFormedPatternError(f"pattern head {head.name} must be a declared constant")
     ty = entry.type
     fuel = Fuel()
-    for parg in args:
+    for parg in reversed(args):
         tyw = whnf(env, ty, (), fuel)
         if not isinstance(tyw, Pi):
             raise IllFormedPatternError(f"pattern head {head.name} is applied too many times")
@@ -479,7 +476,7 @@ def _type_pattern(
             slots[parg.index] = (parg.hint, tyw.dom, None)
         elif type(parg) in (Const, App):
             if not convert(env, _type_pattern(env, parg, slots), tyw.dom):
-                rigid = spine(parg)[0].name  # type: ignore[attr-defined]
+                rigid = unwind(parg, []).name  # type: ignore[attr-defined]
                 raise IllFormedPatternError(f"rigid pattern argument {rigid} has the wrong type")
         else:
             raise IllFormedPatternError("pattern arguments are metavariables or constant spines")

@@ -414,6 +414,16 @@ def test_a_file_that_is_not_utf8_is_refused_without_traceback(tmp_path, capsys, 
     assert captured.err == f"error: {f} is not UTF-8 (byte 0)\n"
 
 
+def test_a_superscript_digit_is_not_a_number(tmp_path, capsys):
+    # `str.isdigit` holds for "²", but `int` reads only decimal digits.
+    f = tmp_path / "sup.pts"
+    f.write_text("system lambda-hol.\nconst A : *.\nconst a : A.\ntrace a ².\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL  parse error: 4:9: expected 'number', found '²'\n"
+    assert captured.err == ""
+
+
 def test_run_program_stops_at_first_error():
     report = run_program("const A : #.\nconst A : #.\nconst B : #.")
     assert not report.ok

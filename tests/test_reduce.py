@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from naive_reducer import is_subsequence, naive_head_step, naive_states
 from test_normalizer import ENV as HOL_ENV, TYPES, _term as _hol_term, terms
-from test_terms import FREE, _exact, _random_term, _ref_subst
+from test_terms import FREE, _exact, _random_term, _ref_subst, spine
 
 from pts_kernel import reduce
 from pts_kernel.corpus import BUNDLE_IDS, get_bundle, run_program
@@ -31,7 +31,6 @@ from pts_kernel.reduce import (
 )
 from pts_kernel.specs import PRESETS
 from pts_kernel.terms import App, Const, HOLE, Lam, Let, STAR_T, Var, alpha_eq, app, instantiate
-from pts_kernel.terms import spine
 from pts_kernel.typecheck import DELTA_UNFOLD, Fuel, whnf
 
 

@@ -17,8 +17,8 @@ from pts_kernel.terms import (
     instantiate,
     occurs,
     shift,
-    spine,
     subst,
+    unwind,
 )
 
 
@@ -71,12 +71,26 @@ def test_shift_is_identity_on_closed_terms():
     assert shift(t, 5) is t
 
 
-def test_spine_roundtrip():
+def test_debug_repr_prints_an_application_flat():
+    t = app(Const("f"), Const("a"), App(Lam("y", STAR_T, Var(0, "y")), Var(2, "x")))
+    assert repr(t) == "(f a ((\\y:*. y@0) x@2))"
+
+
+def test_unwind_roundtrip():
+    # unwind keeps what the stack holds and pushes the arguments innermost
+    # last; the head it returns is never an application.
     t = app(Const("f"), Const("a"), Const("b"), Const("c"))
-    head, args = spine(t)
-    assert head == Const("f")
-    assert args == [Const("a"), Const("b"), Const("c")]
-    assert app(head, *args) == t
+    stack = [Const("z")]
+    assert unwind(t, stack) == Const("f")
+    assert stack == [Const("z"), Const("c"), Const("b"), Const("a")]
+    rng = random.Random(0)
+    for _ in range(200):
+        t = _random_term(rng, 5, FREE)
+        stack = [STAR_T]
+        head = unwind(t, stack)
+        assert type(head) is not App
+        assert stack[0] is STAR_T
+        assert _exact(app(head, *reversed(stack[1:]))) == _exact(t)
 
 
 # -- randomized structural properties ---------------------------------------
@@ -212,6 +226,16 @@ def _ref_instantiate(t: Term, sigma: list[Term], depth: int = 0) -> Term:
         return Var(v.index - len(sigma), v.hint)
 
     return _ref_map(t, depth, on_var)
+
+
+def spine(t: Term) -> tuple[Term, list[Term]]:
+    """``t``'s head and its arguments, first argument first."""
+    args: list[Term] = []
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = t.fn
+    args.reverse()
+    return t, args
 
 
 def _exact(t: Term):

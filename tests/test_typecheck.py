@@ -2,6 +2,7 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from test_terms import spine
 
 from pts_kernel import corpus, typecheck
 from pts_kernel.cli import run_program
@@ -87,8 +88,6 @@ def test_whnf_of_twisted_retract(reynolds):
     rhs = _term("Tmap A A δ u p", env)
     assert convert(env, lhs, rhs)
     # Both sides come to rest on the opaque generator u.
-    from pts_kernel.terms import spine
-
     head, _ = spine(whnf(env, lhs))
     assert head == Const("u")
 
@@ -293,9 +292,10 @@ def test_rule_with_more_arguments_than_the_head_is_skipped():
 RIGID_DEV = (
     "system lambda-hol.\nconst A : *.\nconst a : A.\nconst b : A.\nconst c : A.\n"
     "const e : A -> A.\nconst wrap : forall (X : *), X -> X.\nconst g : A -> A -> A -> A.\n"
-    "const pair3 : A -> A -> A -> A.\n"
+    "const pair3 : A -> A -> A -> A.\nconst h : A -> A -> A -> A.\n"
     "def d : A -> A := fun (y : A) => (fun (z : A) => wrap A z) y.\n"
     "rewrite r : g (wrap A $x) => pair3 $x.\n"
+    "rewrite r2 : h (wrap A $x) (wrap A $y) => pair3 $x $y.\n"
 )
 
 
@@ -309,6 +309,19 @@ def test_rigid_sub_pattern_is_matched_on_the_subject_stack():
     # `wrap (A -> A) e a` has one argument more than `wrap A $x`.
     t = _term("g (wrap (A -> A) e a) b c", env)
     assert whnf(env, t) is t
+    # Two rigid sub-patterns are matched first to last, and the first one that
+    # fails stops the match: after `e a`, the second subject is not reduced.
+    # Where no rule fires, whnf gives the term back.
+    for src, spent, fired in (
+        ("h (d a) (d b) c", 7, "pair3 a b c"),
+        ("h (d a) (e b) c", 3, None),
+        ("h (e a) (d b) c", 0, None),
+        ("h (d a)", 0, None),
+    ):
+        fuel = Fuel()
+        out = whnf(env, _term(src, env), fuel=fuel)
+        assert fuel.budget - fuel.left == spent, src
+        assert alpha_eq(out, _term(fired or src, env)), src
 
 
 LET_DEF = (
