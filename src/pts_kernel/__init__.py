@@ -45,7 +45,6 @@ from .terms import (
     Var,
     alpha_eq,
     app,
-    arrow,
     shift,
     subst,
 )

@@ -29,7 +29,7 @@ def _load_target(target: str, system_override: Optional[str]) -> tuple[GlobalEnv
     if target in BUNDLE_IDS:
         bundle = get_bundle(target)
         env = bundle.env
-        if system_override and system_override != bundle.preset_name:
+        if system_override and system_override != bundle.env.spec.name:
             env = env.with_spec(PRESETS[system_override])
         return env, dict(bundle.key_terms)
     report = run_file(target, system_override)
@@ -72,11 +72,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     else:
         import json  # only structured rows need it
         encode = json.JSONEncoder(ensure_ascii=False).encode
-        print(encode({"index": 0, "event": "start", "display": tr.start_display,
+        print(encode({"index": 0, "event": "start", "display": tr.show(tr.start),
                       "raw": tr.plain(tr.start)}))
         for s in tr.steps:
             print(encode({"index": s.index, "event": s.kind, "detail": s.detail,
-                          "display": s.display, "raw": tr.plain(s.raw)}))
+                          "display": tr.show(s.raw), "raw": tr.plain(s.raw)}))
     return 0
 
 
@@ -101,7 +101,7 @@ def cmd_list_corpus(_args: argparse.Namespace) -> int:
     for id in BUNDLE_IDS:
         bundle = get_bundle(id)
         terms = ", ".join(sorted(bundle.key_terms))
-        print(f"{id}  [{bundle.preset_name}]  terms: {terms}")
+        print(f"{id}  [{bundle.env.spec.name}]  terms: {terms}")
     return 0
 
 

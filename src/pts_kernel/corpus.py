@@ -4,8 +4,8 @@ The files under ``corpus/`` are the corpus.  ``get_bundle`` runs
 ``corpus/<id>.pts`` through ``run_program``, the one interpreter of
 directives, and packages what it built: the environment, the file's
 ``check`` judgment as the key term ``bottomProof`` with its expected type
-``⊥``, the file's ``conv`` judgments as conversion goals, and the pinned
-head-reduction traces below.
+``⊥``, and the file's ``conv`` judgments as conversion goals.  The pinned
+head-reduction traces of the bundles live in ``tests/golden/``.
 
 The two axiomatic bundles postulate a carrier with resp. a retract equation
 and a twisted retract equation as a rewrite rule; the three impredicative
@@ -195,41 +195,20 @@ BUNDLE_IDS = ("simple", "refined-axiomatic", "reynolds-A", "hurkens-B-match1", "
 # does not carry them.
 CORPUS_DIR = Path(__file__).resolve().parents[2] / "corpus"
 
-SIMPLE_GOLDEN_HEAD_DEF = ["l₂ p₀ l₂ l₁", "l₁ x₀ l₂ l₁", "l₂ p₀ l₂ l₁"]
-
-REFINED_GOLDEN_HEAD_DEF = [
-    "l₀ p₀ l₂ l₁",
-    "l₁ x₀ l₂ (s₂ p₀ l₁)",
-    "l₂ p₀ (s₁ x₀ l₂) (s₂ p₀ l₁)",
-    "l₀ (p₀∘δ) (s₁ x₀ l₂) (s₂ p₀ l₁)",
-    "s₂ p₀ l₁ x₀ (s₁ x₀ l₂) (s₂ (p₀∘δ) (s₂ p₀ l₁))",
-    "l₁ (δ x₀) (s₁ x₀ l₂) (s₂ (p₀∘δ) (s₂ p₀ l₁))",
-]
-
-_GOLDEN = {
-    "simple": {"head-def": SIMPLE_GOLDEN_HEAD_DEF},
-    "refined-axiomatic": {"head-def": REFINED_GOLDEN_HEAD_DEF},
-}
-
 
 class ParadoxBundle:
-    __slots__ = (
-        "id", "preset_name", "env", "key_terms", "expected_types", "golden_traces", "conv_goals"
-    )
+    __slots__ = ("id", "env", "key_terms", "expected_types", "conv_goals")
     def __init__(
         self,
         id: str,
-        preset_name: str,
         env: GlobalEnv,
         key_terms: dict[str, Term],
         expected_types: dict[str, Term],
-        golden_traces: Optional[dict[str, list[str]]] = None,
-        conv_goals: Optional[list[tuple[Term, Term]]] = None,
+        conv_goals: list[tuple[Term, Term]],
     ) -> None:
-        self.id, self.preset_name, self.env = id, preset_name, env
+        self.id, self.env = id, env
         self.key_terms, self.expected_types = key_terms, expected_types
-        self.golden_traces = {} if golden_traces is None else golden_traces
-        self.conv_goals = [] if conv_goals is None else conv_goals
+        self.conv_goals = conv_goals
 
 
 _CACHE: dict[str, ParadoxBundle] = {}
@@ -247,11 +226,9 @@ def get_bundle(id: str) -> ParadoxBundle:
         [(bottom, bottom_type)] = checks
         _CACHE[id] = ParadoxBundle(
             id=id,
-            preset_name=report.env.spec.name,
             env=report.env,
             key_terms={"bottomProof": bottom},
             expected_types={"bottomProof": bottom_type},
-            golden_traces=_GOLDEN.get(id, {}),
             conv_goals=[(a, b) for kind, a, b in report.judgments if kind == "conv"],
         )
     return _CACHE[id]

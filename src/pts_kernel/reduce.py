@@ -80,23 +80,19 @@ LINEAR_SUBST = "linear-subst"
 
 
 class TraceStep:
-    __slots__ = ("index", "kind", "detail", "raw", "show")
-    def __init__(self, index: int, kind: str, detail: str, raw: Term, show: Show) -> None:
+    __slots__ = ("index", "kind", "detail", "raw")
+    def __init__(self, index: int, kind: str, detail: str, raw: Term) -> None:
         self.index = index
         self.kind = kind  # delta-unfold | beta-contract | rewrite-fire | linear-subst
         self.detail = detail  # unfolded name, beta count, rule name, or occurrence path
-        self.raw, self.show = raw, show
+        self.raw = raw
 
-    def __eq__(self, other: object) -> bool:  # the printer is not compared
+    def __eq__(self, other: object) -> bool:
         if type(other) is not TraceStep:
             return NotImplemented
         return (self.index, self.kind, self.detail, self.raw) == (
             other.index, other.kind, other.detail, other.raw
         )
-
-    @property
-    def display(self) -> str:
-        return self.show(self.raw)
 
 
 class Trace:
@@ -117,12 +113,9 @@ class Trace:
         return (self.start, self.steps, self.stopped) == (other.start, other.steps, other.stopped)
 
     @property
-    def start_display(self) -> str:
-        return self.show(self.start)
-
-    @property
     def displays(self) -> list[str]:
-        return [self.start_display] + [s.display for s in self.steps]
+        show = self.show
+        return [show(self.start)] + [show(s.raw) for s in self.steps]
 
 
 class LoopReport(NamedTuple):
@@ -352,7 +345,7 @@ def trace(
     plain = printer()
     out = Trace(start=t, show=printer(env) if fold else plain, plain=plain)
     for index, ((kind, detail, cur), _, loop) in enumerate(_walk(env, t, strategy, max_steps), 1):
-        out.steps.append(TraceStep(index, kind, detail, cur, out.show))
+        out.steps.append(TraceStep(index, kind, detail, cur))
         if loop is not None:
             out.stopped = "loop"
             return out

@@ -15,20 +15,15 @@ class PtsSpec:
     per sort and one rule per pair, which keeps type inference deterministic.
     """
 
-    __slots__ = ("name", "sorts", "axioms", "rules")
+    __slots__ = ("name", "axioms", "rules")
     def __init__(
         self,
         name: str,
-        sorts: frozenset[Sort],
         axioms: Mapping[Sort, Sort],
         rules: Optional[Mapping[tuple[Sort, Sort], Sort]] = None,
     ) -> None:
-        self.name, self.sorts, self.axioms = name, sorts, axioms
+        self.name, self.axioms = name, axioms
         self.rules = {} if rules is None else rules
-        for s, s2 in axioms.items():
-            assert s in sorts and s2 in sorts
-        for (s1, s2), s3 in self.rules.items():
-            assert s1 in sorts and s2 in sorts and s3 in sorts
 
 
 def axiom_of(spec: PtsSpec, s: Sort) -> Optional[Sort]:
@@ -47,14 +42,12 @@ def _binary(*pairs: tuple[Sort, Sort]) -> dict[tuple[Sort, Sort], Sort]:
 
 LAMBDA_HOL = PtsSpec(
     name="lambda-hol",
-    sorts=frozenset((STAR, BOX, TRIANGLE)),
     axioms={STAR: BOX, BOX: TRIANGLE},
     rules=_binary((STAR, STAR), (BOX, BOX), (BOX, STAR)),
 )
 
 LAMBDA_U_MINUS = PtsSpec(
     name="lambda-u-minus",
-    sorts=frozenset((STAR, BOX, TRIANGLE)),
     axioms={STAR: BOX, BOX: TRIANGLE},
     rules=_binary((STAR, STAR), (BOX, BOX), (BOX, STAR), (TRIANGLE, BOX)),
 )
@@ -66,17 +59,17 @@ PRESETS: dict[str, PtsSpec] = {
 
 
 def empty_custom() -> PtsSpec:
-    """Starting point for file-declared systems: all sorts, no axioms/rules."""
-    return PtsSpec(name="custom", sorts=frozenset((STAR, BOX, TRIANGLE)), axioms={}, rules={})
+    """Starting point for file-declared systems: no axioms, no rules."""
+    return PtsSpec(name="custom", axioms={}, rules={})
 
 
 def with_axiom(spec: PtsSpec, s: Sort, s2: Sort) -> PtsSpec:
     axioms = dict(spec.axioms)
     axioms[s] = s2
-    return PtsSpec(spec.name, spec.sorts, axioms, spec.rules)
+    return PtsSpec(spec.name, axioms, spec.rules)
 
 
 def with_rule(spec: PtsSpec, s1: Sort, s2: Sort, s3: Sort) -> PtsSpec:
     rules = dict(spec.rules)
     rules[(s1, s2)] = s3
-    return PtsSpec(spec.name, spec.sorts, spec.axioms, rules)
+    return PtsSpec(spec.name, spec.axioms, rules)

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 
 class Sort:
-    """One of the three sorts; ordered Star < Box < Triangle."""
+    """One of the three sorts: Star, Box or Triangle."""
 
     __slots__ = ("rank", "token")
 
@@ -33,9 +33,6 @@ class Sort:
 
     def __repr__(self) -> str:
         return self.token
-
-    def __lt__(self, other: "Sort") -> bool:
-        return self.rank < other.rank
 
 
 STAR = Sort(0, "*")
@@ -321,11 +318,6 @@ def app(fn: Term, *args: Term) -> Term:
     for a in args:
         fn = App(fn, a)
     return fn
-
-
-def arrow(dom: Term, cod: Term) -> Pi:
-    """Non-dependent product."""
-    return Pi("_", dom, shift(cod, 1))
 
 
 def _debug_repr(t: Term) -> str:

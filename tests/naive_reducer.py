@@ -3,15 +3,18 @@
 Deliberately primitive: one full-substitution step at a time (leftmost head
 redex, head let, or head constant replacement), no rewrite rules, no sharing
 tricks.  Kept free of any import from the reduction engine so the two sides
-of the check stay independent; only the shared term syntax is reused.
+of the check stay independent; only the shared term syntax is reused, and
+substitution is the textbook reference of ``test_terms``, not ``terms.subst``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from test_terms import _ref_subst
+
 from pts_kernel.env import GlobalEnv
-from pts_kernel.terms import App, Const, Lam, Let, Term, subst
+from pts_kernel.terms import App, Const, Lam, Let, Term
 
 
 def naive_head_step(env: Optional[GlobalEnv], t: Term) -> Optional[Term]:
@@ -21,9 +24,9 @@ def naive_head_step(env: Optional[GlobalEnv], t: Term) -> Optional[Term]:
         args.append(t.arg)
         t = t.fn
     if isinstance(t, Lam) and args:
-        t = subst(t.body, args.pop())
+        t = _ref_subst(t.body, args.pop())
     elif isinstance(t, Let):
-        t = subst(t.body, t.defn)
+        t = _ref_subst(t.body, t.defn)
     elif isinstance(t, Const) and env is not None:
         body = env.def_body(t.name)
         if body is None:

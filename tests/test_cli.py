@@ -359,10 +359,13 @@ def test_erase_command(capsys):
 
 def test_list_corpus(capsys):
     assert main(["list-corpus"]) == 0
-    out = capsys.readouterr().out
-    for bid in ("simple", "refined-axiomatic", "reynolds-A", "hurkens-B-match1", "hurkens-B-match2"):
-        assert bid in out
-    assert "bottomProof" in out
+    assert capsys.readouterr().out == (
+        "simple  [lambda-hol]  terms: bottomProof\n"
+        "refined-axiomatic  [lambda-hol]  terms: bottomProof\n"
+        "reynolds-A  [lambda-u-minus]  terms: bottomProof\n"
+        "hurkens-B-match1  [lambda-u-minus]  terms: bottomProof\n"
+        "hurkens-B-match2  [lambda-u-minus]  terms: bottomProof\n"
+    )
 
 
 def test_check_raw_flag(capsys):

@@ -10,7 +10,7 @@ from pts_kernel.cli import main
 from pts_kernel.corpus import BUNDLE_IDS, get_bundle
 from pts_kernel.env import Decl, Rewrite, add_entry
 from pts_kernel.parser import elaborate, parse_term_surface
-from pts_kernel.reduce import REWRITE_FIRE, head_def_step, trace
+from pts_kernel.reduce import REWRITE_FIRE, head_def_step
 from pts_kernel.typecheck import check, convert, infer
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,13 +75,6 @@ def test_rewrite_rules_preserve_types(simple, refined):
         kind, fired, contractum = head_def_step(env, redex)
         assert (kind, fired) == (REWRITE_FIRE, rule.name)
         assert convert(env, infer(env, redex), infer(env, contractum)), bundle.id
-
-
-def test_golden_traces_reproduced(all_bundles):
-    for bundle in all_bundles:
-        for strategy, rows in bundle.golden_traces.items():
-            tr = trace(bundle.env, bundle.key_terms["bottomProof"], strategy, len(rows) - 1)
-            assert tr.displays == rows, bundle.id
 
 
 def test_bundle_registry_is_complete():

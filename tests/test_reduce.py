@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -32,6 +33,8 @@ from pts_kernel.reduce import (
 from pts_kernel.specs import PRESETS
 from pts_kernel.terms import App, Const, HOLE, Lam, Let, STAR_T, Var, alpha_eq, app, instantiate
 from pts_kernel.typecheck import DELTA_UNFOLD, Fuel, whnf
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _term(src, env):
@@ -466,13 +469,15 @@ def test_head_linear_readbacks_are_naive_states(simple):
 
 def test_trace_simple_stops_on_loop(simple):
     tr = trace(simple.env, simple.key_terms["bottomProof"], HEAD_DEF, 10)
-    assert tr.displays == simple.golden_traces["head-def"]
+    rows = (GOLDEN / "simple-head-def.txt").read_text(encoding="utf-8").splitlines()
+    assert tr.displays == rows
     assert tr.stopped == "loop"
 
 
 def test_trace_refined_five_rows(refined):
     tr = trace(refined.env, refined.key_terms["bottomProof"], HEAD_DEF, 5)
-    assert tr.displays == refined.golden_traces["head-def"]
+    rows = (GOLDEN / "refined-axiomatic-head-def.txt").read_text(encoding="utf-8").splitlines()
+    assert tr.displays == rows
     assert tr.stopped == "max-steps"
 
 
@@ -487,7 +492,7 @@ def test_trace_display_raw_invariant(simple, refined):
     for bundle in (simple, refined):
         tr = trace(bundle.env, bundle.key_terms["bottomProof"], HEAD_DEF, 5)
         for step in tr.steps:
-            back = _term(step.display, bundle.env)
+            back = _term(tr.show(step.raw), bundle.env)
             assert alpha_eq(
                 unfold_all(bundle.env, back), unfold_all(bundle.env, step.raw)
             )
@@ -727,6 +732,14 @@ def test_erase_poly_removes_sort_binder(reynolds):
     t = _term("fun (X : #) (f : T X -> X) => f", reynolds.env)
     erased = erase(t, POLY, env=reynolds.env)
     assert erased == Lam("f", HOLE, Var(0))
+    # A variable bound above the removed binder is renumbered past it.
+    env = run_program(
+        "const A : *.\nconst a : A.\nconst b : A.\n"
+        "def f : A -> Pi (X : #) -> A -> A := fun (x : A) (X : #) (y : A) => x.\n"
+        "def t : A := f a * b.\n"
+    ).env
+    tr = trace(erase_env(env, POLY), Const("t"), HEAD_DEF, 3, fold=False)
+    assert tr.displays == ["t", "f a b", "a"]
 
 
 def test_erase_poly_needs_environment(simple):

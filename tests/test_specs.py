@@ -27,8 +27,3 @@ def test_axiom_relation_is_a_partial_function():
         assert len(spec.axioms) == len(set(spec.axioms))
         for s, s2 in spec.axioms.items():
             assert axiom_of(spec, s) is s2
-
-
-def test_sort_order_is_total():
-    assert STAR < BOX < TRIANGLE
-    assert not (BOX < STAR)

@@ -296,6 +296,8 @@ RIGID_DEV = (
     "def d : A -> A := fun (y : A) => (fun (z : A) => wrap A z) y.\n"
     "rewrite r : g (wrap A $x) => pair3 $x.\n"
     "rewrite r2 : h (wrap A $x) (wrap A $y) => pair3 $x $y.\n"
+    "const k : forall (X : *), X -> X.\nconst m : (forall (X : *), X -> X) -> A.\n"
+    "rewrite r3 : m k => a.\n"
 )
 
 
@@ -309,6 +311,9 @@ def test_rigid_sub_pattern_is_matched_on_the_subject_stack():
     # `wrap (A -> A) e a` has one argument more than `wrap A $x`.
     t = _term("g (wrap (A -> A) e a) b c", env)
     assert whnf(env, t) is t
+    # `k (forall (X : *), X -> X) k` has two arguments more than the pattern `k`.
+    t = _term("m (k (forall (X : *), X -> X) k)", env)
+    assert whnf(env, t) is t and not convert(env, t, Const("a"))
     # Two rigid sub-patterns are matched first to last, and the first one that
     # fails stops the match: after `e a`, the second subject is not reduced.
     # Where no rule fires, whnf gives the term back.
@@ -337,6 +342,7 @@ def test_whnf_of_a_let_bodied_definition_spends_one_unit_per_event():
     fuel = Fuel()
     assert whnf(env, Const("d"), fuel=fuel) == Const("a")
     assert fuel.budget - fuel.left == 2
+    assert whnf(env, Const("d"), fuel=Fuel(2)) == Const("a")
     with pytest.raises(TypeCheckError) as err:
         whnf(env, Const("d"), fuel=Fuel(1))
     assert err.value.kind == "FuelExhausted"
