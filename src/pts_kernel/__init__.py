@@ -5,7 +5,6 @@ looping proof terms in inconsistent systems."""
 from .env import Decl, Def, GlobalEnv, Rewrite, add_entry, unfold_all
 from .errors import (
     DuplicateNameError,
-    ErasureNeedsTypesError,
     IllFormedPatternError,
     KernelError,
     ParseError,
@@ -28,7 +27,7 @@ from .reduce import (
     readback,
     trace,
 )
-from .specs import LAMBDA_HOL, LAMBDA_U_MINUS, PRESETS, PtsSpec, axiom_of, rule_of
+from .specs import LAMBDA_HOL, LAMBDA_U_MINUS, PRESETS, PtsSpec
 from .terms import (
     App,
     BOX,

@@ -16,7 +16,7 @@ from .corpus import BUNDLE_IDS, get_bundle, read_source, run_file, run_program
 from .display import plain_display
 from .env import Decl, Def, GlobalEnv
 from .errors import KernelError
-from .reduce import ERASURE_MODES, HEAD_DEF, STRATEGIES, detect_loop, erase, erase_env, trace
+from .reduce import ERASURE_MODES, HEAD_DEF, STRATEGIES, detect_loop, erase, trace
 from .specs import PRESETS
 from .terms import Const, Term
 
@@ -63,9 +63,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     _require_count("--steps", args.steps)
     env, terms = _load_target(args.target, args.system)
     t = _resolve_term(terms, args.term, args.target)
-    if args.erase:
-        env, t = erase_env(env, args.erase), erase(t, args.erase, env=env)
-    tr = trace(env, t, args.strategy, args.steps, fold=args.erase is None)
+    tr = trace(env, t, args.strategy, args.steps, mode=args.erase)
     if args.format == "text":
         for row in tr.displays:
             print(row)
@@ -74,8 +72,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         encode = json.JSONEncoder(ensure_ascii=False).encode
         print(encode({"index": 0, "event": "start", "display": tr.show(tr.start),
                       "raw": tr.plain(tr.start)}))
-        for s in tr.steps:
-            print(encode({"index": s.index, "event": s.kind, "detail": s.detail,
+        for index, s in enumerate(tr.steps, 1):
+            print(encode({"index": index, "event": s.kind, "detail": s.detail,
                           "display": tr.show(s.raw), "raw": tr.plain(s.raw)}))
     return 0
 
@@ -83,7 +81,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_erase(args: argparse.Namespace) -> int:
     env, terms = _load_target(args.target, args.system)
     t = _resolve_term(terms, args.term, args.target)
-    print(plain_display(erase(t, args.erase, env=env)))
+    print(plain_display(erase(t, args.erase, env)))
     return 0
 
 
@@ -105,10 +103,9 @@ def cmd_list_corpus(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, with_term: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("target", help="bundle id or development file")
-    if with_term:
-        p.add_argument("term", help="key term (bundle) or constant name (file)")
+    p.add_argument("term", help="key term (bundle) or constant name (file)")
     p.add_argument("--system", choices=sorted(PRESETS), default=None)
 
 

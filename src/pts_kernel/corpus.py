@@ -24,7 +24,7 @@ from .env import Decl, Def, GlobalEnv, add_entry
 from .errors import KernelError, ParseError
 from .parser import Directive, build_rewrite, elaborate, parse_program
 from .reduce import HEAD_DEF, trace
-from .specs import PRESETS, PtsSpec, empty_custom, with_axiom, with_rule
+from .specs import PRESETS, PtsSpec, with_axiom, with_rule
 from .terms import SORT_BY_TOKEN, Term
 from .typecheck import check, convert, infer
 
@@ -167,7 +167,7 @@ def _resolve_system(d: Directive) -> PtsSpec:
     if d.name in PRESETS:
         return PRESETS[d.name]
     if d.name == "custom":
-        return empty_custom()
+        return PtsSpec("custom", {}, {})
     raise ParseError(f"unknown system {d.name!r}", d.line, d.col)
 
 

@@ -62,14 +62,14 @@ def match_composition(t: Term) -> Optional[tuple[Term, Term]]:
     return body.fn, inner.fn
 
 
-def fold_display(t: Term, env: Optional[GlobalEnv] = None) -> str:
+def fold_display(t: Term, env: GlobalEnv) -> str:
     """Print ``t`` with maximal re-folding against ``env``'s definitions."""
-    return _Printer(env, True).show(t)
+    return _Printer(env).show(t)
 
 
 def plain_display(t: Term) -> str:
     """Print ``t`` with no re-folding and no notations."""
-    return _Printer(None, False).show(t)
+    return _Printer(None).show(t)
 
 
 def raw_display(t: Term, env: GlobalEnv) -> str:
@@ -81,12 +81,12 @@ def printer(env: Optional[GlobalEnv] = None) -> Show:
     """Print like ``fold_display(t, env)``, or like ``plain_display(t)`` when
     ``env`` is None, sharing one unfolding memo and one string cache (see
     ``_Printer``) across all the terms it prints, such as one trace's rows."""
-    return _Printer(env, env is not None, {}).show
+    return _Printer(env, {}).show
 
 
 class _Printer:
-    """Prints terms: ``fold`` turns on ``g∘f`` and, given ``env``, constant
-    folding through ``memo``, the unfoldings computed so far.
+    """Prints terms: given ``env``, it folds ``g∘f`` and constants, the
+    latter through ``memo``, the unfoldings computed so far.
 
     ``cache``, if any, maps ``(id(node), prec, tuple(scope))`` of a closed
     non-leaf node to the node and its string.  The key is the node's
@@ -98,10 +98,10 @@ class _Printer:
     are distinct, as ``_fresh`` makes them, so a set tests one in O(1).
     """
 
-    __slots__ = ("env", "fold", "memo", "cache", "scope", "names")
+    __slots__ = ("env", "memo", "cache", "scope", "names")
 
-    def __init__(self, env: Optional[GlobalEnv], fold: bool, cache: Optional[dict] = None) -> None:
-        self.env, self.fold, self.cache = env, fold, cache
+    def __init__(self, env: Optional[GlobalEnv], cache: Optional[dict] = None) -> None:
+        self.env, self.cache = env, cache
         self.memo: dict[Term, Term] = {}
         self.scope: list[str] = []
         self.names: set[str] = set()
@@ -129,11 +129,11 @@ class _Printer:
                 return hit[1]
 
         s, level = None, _ATOM
-        if self.fold:
+        if self.env is not None:
             comp = match_composition(t)
             if comp is not None:
                 s, level = f"{self._gone(comp[0], _APP)}∘{self._gone(comp[1], _APP)}", _COMP
-            elif self.env is not None and t.fa == 0:
+            elif t.fa == 0:
                 try:
                     s = self.env.fold_name(unfold_all(self.env, t, self.memo))
                 except TypeCheckError:  # a name outside env: no definition unfolds to it

@@ -32,10 +32,6 @@ class IllFormedPatternError(KernelError):
     kind = "IllFormedPattern"
 
 
-class ErasureNeedsTypesError(KernelError):
-    kind = "ErasureNeedsTypes"
-
-
 # Kind tags for TypeCheckError.  Kept as plain strings so errors render and
 # compare without extra machinery.
 UNKNOWN_CONSTANT = "UnknownConstant"

@@ -48,7 +48,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .display import Show, printer
 from .env import Def, GlobalEnv, Rewrite
-from .errors import ErasureNeedsTypesError, KernelError
+from .errors import KernelError
 from .terms import (
     App,
     BOX,
@@ -80,9 +80,8 @@ LINEAR_SUBST = "linear-subst"
 
 
 class TraceStep:
-    __slots__ = ("index", "kind", "detail", "raw")
-    def __init__(self, index: int, kind: str, detail: str, raw: Term) -> None:
-        self.index = index
+    __slots__ = ("kind", "detail", "raw")
+    def __init__(self, kind: str, detail: str, raw: Term) -> None:
         self.kind = kind  # delta-unfold | beta-contract | rewrite-fire | linear-subst
         self.detail = detail  # unfolded name, beta count, rule name, or occurrence path
         self.raw = raw
@@ -90,9 +89,7 @@ class TraceStep:
     def __eq__(self, other: object) -> bool:
         if type(other) is not TraceStep:
             return NotImplemented
-        return (self.index, self.kind, self.detail, self.raw) == (
-            other.index, other.kind, other.detail, other.raw
-        )
+        return (self.kind, self.detail, self.raw) == (other.kind, other.detail, other.raw)
 
 
 class Trace:
@@ -156,7 +153,6 @@ class _LinearMachine:
         self.kind = ""
         self.name = ""  # the constant the last delta-unfold replaced
         self._key: Optional[tuple] = None  # readback as (head, *stack), once asked for
-        self._obs: Optional[Term] = None  # the readback as a term, once asked for
 
     def step(self) -> Optional[str]:
         """Replace the head occurrence by its binding; return the step's
@@ -205,7 +201,7 @@ class _LinearMachine:
             # With no unapplied fun on the path the readback has substituted
             # every binder on it: a linear substitution leaves it unchanged,
             # and a delta-unfold unfolds its head constant.
-            head, self._key, self._obs = key[0], None, None
+            head, self._key = key[0], None
             if not self.open and type(head) is Const and head.name == self.name:
                 stack = list(key[1:])
                 spent = 1 if type(new) is Lam and stack else 0
@@ -219,13 +215,6 @@ class _LinearMachine:
             stack: list[Term] = []
             self._key = (_contract(unwind(self.term(), stack), stack)[0], *stack)
         return self._key
-
-    def observation(self) -> Term:
-        """``readback`` of the current state."""
-        if self._obs is None:
-            key = self.key()
-            self._obs = app(key[0], *reversed(key[1:]))
-        return self._obs
 
     def detail(self) -> str:
         """The last step's unfolded constant, or the path of its occurrence."""
@@ -338,14 +327,20 @@ def trace(
     t: Term,
     strategy: str = HEAD_DEF,
     max_steps: int = 50,
-    fold: bool = True,
+    mode: Optional[str] = None,
 ) -> Trace:
     """Step ``t``, recording one row per event; stops on head-normal forms,
-    detected state repetition, or ``max_steps``."""
+    detected state repetition, or ``max_steps``.
+
+    With ``mode`` set, the environment and start term are erased first, as
+    ``detect_loop`` erases them, and rows print unfolded; otherwise they
+    print folded against ``env``."""
+    if mode is not None:
+        env, t = erase_env(env, mode), erase(t, mode, env)
     plain = printer()
-    out = Trace(start=t, show=printer(env) if fold else plain, plain=plain)
-    for index, ((kind, detail, cur), _, loop) in enumerate(_walk(env, t, strategy, max_steps), 1):
-        out.steps.append(TraceStep(index, kind, detail, cur))
+    out = Trace(start=t, show=printer(env) if mode is None else plain, plain=plain)
+    for (kind, detail, cur), _, loop in _walk(env, t, strategy, max_steps):
+        out.steps.append(TraceStep(kind, detail, cur))
         if loop is not None:
             out.stopped = "loop"
             return out
@@ -370,7 +365,7 @@ def detect_loop(
     ``steps`` counts the steps taken.
     """
     if mode is not None:
-        env, t = erase_env(env, mode), erase(t, mode, env=env)
+        env, t = erase_env(env, mode), erase(t, mode, env)
     steps = 0
     for steps, (_, _, loop) in enumerate(_walk(env, t, strategy, bound, rows=False), 1):
         if loop is not None:
@@ -382,12 +377,10 @@ def detect_loop(
 # Type erasure
 
 
-def erase(t: Term, mode: str, env: Optional[GlobalEnv] = None, ctx: Ctx = ()) -> Term:
+def erase(t: Term, mode: str, env: GlobalEnv, ctx: Ctx = ()) -> Term:
     if mode == ANNOTATIONS:
         return _erase_annotations(t)
     if mode == POLY:
-        if env is None:
-            raise ErasureNeedsTypesError("polymorphism erasure needs a typed environment")
         return _erase_poly(env, t, ctx, [])
     raise KernelError(f"unknown erasure mode {mode!r}")
 
@@ -453,10 +446,10 @@ def erase_env(env: GlobalEnv, mode: str) -> GlobalEnv:
     entries = []
     for e in env.entries:
         if isinstance(e, Def):
-            entries.append(Def(e.name, e.type, erase(e.body, mode, env=env)))
+            entries.append(Def(e.name, e.type, erase(e.body, mode, env)))
         elif isinstance(e, Rewrite):
             ctx = rule_context(env, e.lhs)[0] if mode == POLY else ()
-            entries.append(Rewrite(e.name, e.lhs, erase(e.rhs, mode, env=env, ctx=ctx)))
+            entries.append(Rewrite(e.name, e.lhs, erase(e.rhs, mode, env, ctx)))
         else:
             entries.append(e)
     return GlobalEnv(env.spec, tuple(entries))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .terms import BOX, STAR, TRIANGLE, Sort
 
@@ -20,20 +20,9 @@ class PtsSpec:
         self,
         name: str,
         axioms: Mapping[Sort, Sort],
-        rules: Optional[Mapping[tuple[Sort, Sort], Sort]] = None,
+        rules: Mapping[tuple[Sort, Sort], Sort],
     ) -> None:
-        self.name, self.axioms = name, axioms
-        self.rules = {} if rules is None else rules
-
-
-def axiom_of(spec: PtsSpec, s: Sort) -> Optional[Sort]:
-    """The unique sort typing ``s``, or None (the top sort has no axiom)."""
-    return spec.axioms.get(s)
-
-
-def rule_of(spec: PtsSpec, s1: Sort, s2: Sort) -> Optional[Sort]:
-    """The sort of a product whose domain lives in s1 and codomain in s2."""
-    return spec.rules.get((s1, s2))
+        self.name, self.axioms, self.rules = name, axioms, rules
 
 
 def _binary(*pairs: tuple[Sort, Sort]) -> dict[tuple[Sort, Sort], Sort]:
@@ -56,11 +45,6 @@ PRESETS: dict[str, PtsSpec] = {
     LAMBDA_HOL.name: LAMBDA_HOL,
     LAMBDA_U_MINUS.name: LAMBDA_U_MINUS,
 }
-
-
-def empty_custom() -> PtsSpec:
-    """Starting point for file-declared systems: no axioms, no rules."""
-    return PtsSpec(name="custom", axioms={}, rules={})
 
 
 def with_axiom(spec: PtsSpec, s: Sort, s2: Sort) -> PtsSpec:

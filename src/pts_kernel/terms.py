@@ -218,11 +218,11 @@ def _reindex(t: Term, cutoff: int, leaf: Callable[[Var, int], Term]) -> Term:
     )
 
 
-def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Shift dangling indices >= ``cutoff`` by ``by``."""
-    if by == 0 or t.fa <= cutoff:
+def shift(t: Term, by: int) -> Term:
+    """Shift dangling indices by ``by``."""
+    if by == 0 or t.fa == 0:
         return t
-    return _reindex(t, cutoff, lambda v, c: Var(v.index + by, v.hint))
+    return _reindex(t, 0, lambda v, c: Var(v.index + by, v.hint))
 
 
 def occurs(t: Term, i: int = 0) -> bool:
@@ -299,10 +299,10 @@ def _build(t: Term, n: int, c: int) -> Callable[[list[Term]], Term]:
     return lambda s: instantiate(t, s, c)  # a ``let``, or a variable past ``σ``
 
 
-def subst(body: Term, value: Term, j: int = 0) -> Term:
-    """Replace ``Var(j)`` in ``body`` by ``value`` and close the gap: the
+def subst(body: Term, value: Term) -> Term:
+    """Replace ``Var(0)`` in ``body`` by ``value`` and close the gap: the
     one-value case of ``instantiate``."""
-    return instantiate(body, [value], j)
+    return instantiate(body, [value])
 
 
 def unwind(t: Term, stack: list[Term]) -> Term:

@@ -43,7 +43,6 @@ from .errors import (
     TypeCheckError,
     UNKNOWN_CONSTANT,
 )
-from .specs import axiom_of, rule_of
 from .terms import (
     App,
     Const,
@@ -318,7 +317,7 @@ def infer(env: GlobalEnv, t: Term, ctx: Ctx = ()) -> Term:
     """Infer the type of ``t``; deterministic up to alpha-equality."""
     match t:
         case SortT(s):
-            s2 = axiom_of(env.spec, s)
+            s2 = env.spec.axioms.get(s)
             if s2 is None:
                 raise TypeCheckError(NO_AXIOM, f"sort {s.token} has no axiom")
             return SortT(s2)
@@ -350,7 +349,7 @@ def infer(env: GlobalEnv, t: Term, ctx: Ctx = ()) -> Term:
             ty = infer(env, t, ctx)
             s2 = _sort_of(env, ty, ctx, "abstraction body type")
             for lam, s1 in reversed(chain):
-                s3 = rule_of(env.spec, s1, s2)
+                s3 = env.spec.rules.get((s1, s2))
                 if s3 is None:
                     raise _no_rule(s1, s2)
                 ty, s2 = Pi(lam.hint, lam.dom, ty), s3
@@ -358,7 +357,7 @@ def infer(env: GlobalEnv, t: Term, ctx: Ctx = ()) -> Term:
         case Pi(hint, dom, cod):
             s1 = _sort_of(env, dom, ctx, "product domain")
             s2 = _sort_of(env, cod, push(ctx, hint, dom), "product codomain")
-            s3 = rule_of(env.spec, s1, s2)
+            s3 = env.spec.rules.get((s1, s2))
             if s3 is None:
                 raise _no_rule(s1, s2)
             return SortT(s3)

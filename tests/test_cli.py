@@ -457,6 +457,21 @@ def test_long_traces_match_golden_digests(capsys):
     assert "".join(got) == (GOLDEN / "trace-long.sha256").read_text(encoding="utf-8")
 
 
+def test_erased_structured_traces_match_their_digest(capsys):
+    # Erased rows print unfolded; trace-long.sha256 holds no erased
+    # structured rows, so this digest pins their display and raw fields.
+    out = []
+    for bundle in ("simple", "refined-axiomatic"):
+        for strategy in ("head-def", "head-linear"):
+            for mode in ("annotations", "poly"):
+                argv = ["trace", bundle, "bottomProof", "--strategy", strategy, "--steps", "40",
+                        "--erase", mode, "--format", "structured"]
+                assert main(argv) == 0
+                out.append(capsys.readouterr().out)
+    digest = hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
+    assert digest == "701238bfbbe569988356e4aea60288de50784a5374afbfac6c76f48bb6dd031c"
+
+
 @pytest.mark.parametrize("flags, suffix", [([], "txt"), (["--raw"], "raw.txt")])
 def test_trace_directive_report_matches_golden_bytes(tmp_path, capsys, flags, suffix):
     # A 60-step `trace` directive on the refined development; its rows stay

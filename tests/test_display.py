@@ -12,7 +12,7 @@ from pts_kernel.display import (
 )
 from pts_kernel.env import Def, GlobalEnv, unfold_all
 from pts_kernel.parser import elaborate, parse_term_surface
-from pts_kernel.reduce import trace
+from pts_kernel.reduce import ANNOTATIONS, trace
 from pts_kernel.specs import LAMBDA_HOL
 from pts_kernel.terms import STAR_T, App, Const, Lam, Let, Pi, Var, alpha_eq, app, shift
 
@@ -221,12 +221,12 @@ def test_alpha_equal_nodes_keep_their_own_hints():
     t = _term(
         "(fun (z : A -> A) (w : A -> A) => k w z) (fun (x : A) => x) (fun (y : A) => y)", env
     )
-    for fold in (True, False):
-        tr = trace(env, t, fold=fold)
+    for mode, dom in ((None, "A"), (ANNOTATIONS, "•")):
+        tr = trace(env, t, mode=mode)
         assert len(tr.steps) == 1
-        assert tr.displays[1] == "k (fun (y : A) => y) (fun (x : A) => x)"
+        assert tr.displays[1] == f"k (fun (y : {dom}) => y) (fun (x : {dom}) => x)"
         assert tr.plain(tr.steps[0].raw) == tr.displays[1]
-        assert tr.displays[0].endswith("(fun (x : A) => x) (fun (y : A) => y)")
+        assert tr.displays[0].endswith(f"(fun (x : {dom}) => x) (fun (y : {dom}) => y)")
 
 
 _HINTS = ("x", "x'", "y", "")

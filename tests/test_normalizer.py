@@ -16,7 +16,7 @@ from normalizer import normalize
 from pts_kernel.cli import run_program
 from pts_kernel.errors import DOMAIN_MISMATCH, FUEL_EXHAUSTED, TypeCheckError
 from pts_kernel.parser import elaborate, parse_term_surface
-from pts_kernel.reduce import LINEAR_SUBST, _LinearMachine, head_def_step, head_linear_step
+from pts_kernel.reduce import LINEAR_SUBST, _LinearMachine, head_def_step, head_linear_step, readback
 from pts_kernel.terms import Const, alpha_eq
 from pts_kernel.typecheck import Fuel, check, convert
 
@@ -209,7 +209,7 @@ def test_head_linear_state_can_be_ill_typed():
     for _ in range(3):
         machine.step()
     assert machine.open == 0
-    check(ENV, machine.observation(), ty)
+    check(ENV, readback(machine.term()), ty)
 
 
 @settings(max_examples=150, deadline=None)
@@ -222,4 +222,4 @@ def test_head_linear_readbacks_preserve_types(case):
         if machine.step() is None:
             break
         if machine.open == 0:
-            check(ENV, machine.observation(), ty)
+            check(ENV, readback(machine.term()), ty)

@@ -168,6 +168,14 @@ def test_unknown_name_reports_position(simple):
     with pytest.raises(ParseError) as err:
         _term("intro mystery", simple.env)
     assert "mystery" in str(err.value)
+    # A rewrite rule's name is no term either.
+    report = run_program(
+        "system lambda-hol.\nconst A : *.\nconst a : A.\nconst f : A -> A.\n"
+        "rewrite r : f $x => a.\ncheck r : A.\n"
+    )
+    assert isinstance(report.error, ParseError) and not report.ok
+    last = report.render().splitlines()[-1]
+    assert last == "FAIL  check : 6:7: r names a rewrite rule, not a term"
 
 
 def test_program_directives_parse():

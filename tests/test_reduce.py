@@ -13,7 +13,7 @@ from pts_kernel import reduce
 from pts_kernel.corpus import BUNDLE_IDS, get_bundle, run_program
 from pts_kernel.display import fold_display
 from pts_kernel.env import Decl, Def, GlobalEnv, unfold_all
-from pts_kernel.errors import ErasureNeedsTypesError, KernelError
+from pts_kernel.errors import KernelError
 from pts_kernel.parser import elaborate, parse_term_surface
 from pts_kernel.reduce import (
     ANNOTATIONS,
@@ -44,7 +44,7 @@ def _term(src, env):
 def _observations(env, t, strategy, steps):
     """Observable states of the first ``steps`` trace rows: readbacks under
     head-linear, with consecutive equal states merged."""
-    tr = trace(env, t, strategy, steps, fold=False)
+    tr = trace(env, t, strategy, steps)
     states = []
     for term in [tr.start] + [s.raw for s in tr.steps]:
         obs = readback(term) if strategy == HEAD_LINEAR else term
@@ -304,7 +304,7 @@ def _check_head_def_walk(env, t, bound, mode=None):
     erased_env, erased = env, t
     if mode is not None:
         erased_env, erased = erase_env(env, mode), erase(t, mode, env=env)
-    tr = trace(erased_env, erased, HEAD_DEF, bound, fold=False)
+    tr = trace(erased_env, erased, HEAD_DEF, bound)
     cur = erased
     for row in tr.steps:
         step = head_def_step(erased_env, cur)
@@ -371,13 +371,14 @@ def test_growing_spine_reaches_the_default_readback_budget():
 
 
 def _unfolded_observation(body, *args):
-    """The observation after a head-linear machine unfolds ``d := body``
-    at the head of ``d args``, having observed the state before it."""
+    """The observation, as ``(head, *stack)``, after a head-linear machine
+    unfolds ``d := body`` at the head of ``d args``, having observed the
+    state before it."""
     env = GlobalEnv(PRESETS["lambda-hol"], [Decl("a", STAR_T), Def("d", STAR_T, body)])
     machine = reduce._LinearMachine(env, app(Const("d"), *args))
-    assert machine.observation() == app(Const("d"), *args)
+    assert machine.key() == (Const("d"), *reversed(args))
     assert machine.step() == DELTA_UNFOLD
-    return machine.observation()
+    return machine.key()
 
 
 @pytest.mark.parametrize("budget, shift", itertools.product([1, 2, 3, 7], range(3)))
@@ -391,9 +392,9 @@ def test_delta_step_spends_the_readback_budget_of_its_observation(budget, shift)
     template = lambda n: Lam("x", STAR_T, App(_contractions(n, shift), Var(0, "x")))  # noqa: E731
     ident = Lam("f", STAR_T, Var(0, "f"))
     with mock.patch.object(reduce, "READBACK_BUDGET", budget):
-        assert _unfolded_observation(template(budget - 1), a) == App(a, a)
-        assert _unfolded_observation(ident, _contractions(budget - 1, shift), a) == App(a, a)
-        assert _unfolded_observation(_contractions(budget, shift), a) == App(a, a)
+        assert _unfolded_observation(template(budget - 1), a) == (a, a)
+        assert _unfolded_observation(ident, _contractions(budget - 1, shift), a) == (a, a)
+        assert _unfolded_observation(_contractions(budget, shift), a) == (a, a)
         for body, args in (
             (template(budget), [a]),
             (ident, [_contractions(budget, shift), a]),
@@ -410,9 +411,9 @@ def test_under_applied_delta_step_spends_one_budget_unit(shift):
     # d unfolds to its body and contracts nothing.
     body = Lam("x", STAR_T, Lam("y", STAR_T, _contractions(2, shift)))
     with mock.patch.object(reduce, "READBACK_BUDGET", 1):
-        assert _unfolded_observation(body, Const("a")) == body.body
+        assert _unfolded_observation(body, Const("a")) == (body.body,)
     with mock.patch.object(reduce, "READBACK_BUDGET", 0):
-        assert _unfolded_observation(body) == body
+        assert _unfolded_observation(body) == (body,)
         with pytest.raises(KernelError, match="^readback exceeded its contraction budget$"):
             _unfolded_observation(body, Const("a"))
 
@@ -582,7 +583,7 @@ def _check_linear_walk(env, t, steps):
     cur, taken = t, 0
     while taken < steps:
         before = taken
-        tr = trace(env, cur, HEAD_LINEAR, steps - taken, fold=False)
+        tr = trace(env, cur, HEAD_LINEAR, steps - taken)
         walked = list(_walk(env, cur, HEAD_LINEAR, steps - taken))
         assert len(walked) == len(tr.steps)
         for ((kind, detail, state), key, _), row in zip(walked, tr.steps):
@@ -618,11 +619,11 @@ def test_linear_substitution_keeps_the_observation(bundle_id, fast):
     machine = reduce._LinearMachine(bundle.env, bundle.key_terms["bottomProof"])
     kept = 0
     for _ in range(100):
-        before = machine.observation()
+        before = machine.key()
         kind = machine.step()
         assert kind is not None
         if kind == reduce.LINEAR_SUBST and machine.open == 0:
-            assert machine.observation() is before
+            assert machine.key() is before
             kept += 1
     assert kept == fast
 
@@ -669,7 +670,8 @@ def test_linear_machine_observations_are_readbacks_of_generated_terms(src):
     for _ in range(6):
         if machine.step() is None:
             break
-        assert _exact(machine.observation()) == _exact(readback(machine.term()))
+        key = machine.key()
+        assert _exact(app(key[0], *reversed(key[1:]))) == _exact(readback(machine.term()))
     assert detect_loop(HOL_ENV, t, HEAD_LINEAR, 30) == _ref_linear_detect_loop(HOL_ENV, t, 30)
 
 
@@ -715,7 +717,7 @@ def test_self_reducing_state_exceeds_readback_budget():
 
 def test_erase_annotations_drops_domains(simple):
     t = _term("fun (x : A) => x", simple.env)
-    erased = erase(t, ANNOTATIONS)
+    erased = erase(t, ANNOTATIONS, simple.env)
     assert erased == Lam("x", HOLE, Var(0))
 
 
@@ -738,14 +740,14 @@ def test_erase_poly_removes_sort_binder(reynolds):
         "def f : A -> Pi (X : #) -> A -> A := fun (x : A) (X : #) (y : A) => x.\n"
         "def t : A := f a * b.\n"
     ).env
-    tr = trace(erase_env(env, POLY), Const("t"), HEAD_DEF, 3, fold=False)
+    tr = trace(env, Const("t"), HEAD_DEF, 3, mode=POLY)
     assert tr.displays == ["t", "f a b", "a"]
-
-
-def test_erase_poly_needs_environment(simple):
-    t = _term("fun (x : A) => x", simple.env)
-    with pytest.raises(ErasureNeedsTypesError):
-        erase(t, POLY)
+    # A sort binder's occurrence left in the body erases to the opaque leaf.
+    env = run_program(
+        "system lambda-hol.\ndef F : # -> # := fun (X : #) => X.\ndef t : # := F *.\n"
+    ).env
+    tr = trace(env, Const("t"), HEAD_DEF, 3, mode=POLY)
+    assert tr.displays == ["t", "F", "•"]
 
 
 def test_erase_poly_drops_type_applications(reynolds):

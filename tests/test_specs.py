@@ -1,19 +1,19 @@
-from pts_kernel.specs import LAMBDA_HOL, LAMBDA_U_MINUS, axiom_of, rule_of
+from pts_kernel.specs import LAMBDA_HOL, LAMBDA_U_MINUS
 from pts_kernel.terms import BOX, STAR, TRIANGLE
 
 
 def test_axioms():
-    assert axiom_of(LAMBDA_HOL, STAR) is BOX
-    assert axiom_of(LAMBDA_HOL, BOX) is TRIANGLE
-    assert axiom_of(LAMBDA_U_MINUS, TRIANGLE) is None
+    assert LAMBDA_HOL.axioms.get(STAR) is BOX
+    assert LAMBDA_HOL.axioms.get(BOX) is TRIANGLE
+    assert LAMBDA_U_MINUS.axioms.get(TRIANGLE) is None
 
 
 def test_rules():
-    assert rule_of(LAMBDA_U_MINUS, TRIANGLE, BOX) is BOX
-    assert rule_of(LAMBDA_HOL, TRIANGLE, BOX) is None
-    assert rule_of(LAMBDA_HOL, STAR, STAR) is STAR
-    assert rule_of(LAMBDA_HOL, BOX, STAR) is STAR
-    assert rule_of(LAMBDA_HOL, BOX, BOX) is BOX
+    assert LAMBDA_U_MINUS.rules.get((TRIANGLE, BOX)) is BOX
+    assert LAMBDA_HOL.rules.get((TRIANGLE, BOX)) is None
+    assert LAMBDA_HOL.rules.get((STAR, STAR)) is STAR
+    assert LAMBDA_HOL.rules.get((BOX, STAR)) is STAR
+    assert LAMBDA_HOL.rules.get((BOX, BOX)) is BOX
 
 
 def test_stock_rule_sets_are_nested():
@@ -26,4 +26,4 @@ def test_axiom_relation_is_a_partial_function():
     for spec in (LAMBDA_HOL, LAMBDA_U_MINUS):
         assert len(spec.axioms) == len(set(spec.axioms))
         for s, s2 in spec.axioms.items():
-            assert axiom_of(spec, s) is s2
+            assert spec.axioms.get(s) is s2

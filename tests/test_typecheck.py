@@ -182,9 +182,19 @@ def test_let_definition_is_transparent_in_body(simple):
 
 
 def test_infer_unknown_constant(simple):
-    with pytest.raises(TypeCheckError) as err:
-        infer(simple.env, Const("ghost"))
-    assert err.value.kind == "UnknownConstant"
+    # A rewrite rule's name is no term either.
+    rules = run_program(
+        "system lambda-hol.\nconst A : *.\nconst a : A.\nconst f : A -> A.\n"
+        "rewrite r : f $x => a.\n"
+    ).env
+    for env, name, detail in (
+        (simple.env, "ghost", "unknown constant ghost"),
+        (rules, "r", "r names a rewrite rule, not a term"),
+    ):
+        with pytest.raises(TypeCheckError) as err:
+            infer(env, Const(name))
+        assert err.value.kind == "UnknownConstant"
+        assert err.value.detail == detail
 
 
 # The Church-numeral prelude of bench/gen.py, with numerals written as
@@ -327,6 +337,18 @@ def test_rigid_sub_pattern_is_matched_on_the_subject_stack():
         out = whnf(env, _term(src, env), fuel=fuel)
         assert fuel.budget - fuel.left == spent, src
         assert alpha_eq(out, _term(fired or src, env)), src
+    # A rigid sub-pattern's own rigid argument must match too: `wrap B a`
+    # fails against `wrap A $x` at `B`, before `$x` is assigned.
+    report = run_program(
+        "system lambda-hol.\nconst A : *.\nconst B : *.\nconst a : A.\n"
+        "const wrap : * -> A -> A.\nconst h : A -> A.\nrewrite r : h (wrap A $x) => $x.\n"
+        "conv (h (wrap A a)) a.\nconv (h (wrap B a)) a.\n"
+    )
+    assert not report.ok
+    assert report.render().splitlines()[-2:] == [
+        "ok    conv h (wrap A a) == a",
+        "FAIL  conv h (wrap B a) =/= a",
+    ]
 
 
 LET_DEF = (
