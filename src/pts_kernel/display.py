@@ -8,7 +8,12 @@ which print as ``Pi (X : #) -> t``; non-dependent products print as arrows.
 
 Folding is maximal: a subterm alpha-equal to the unfolding of a defined
 constant prints as that constant, later definitions winning, and notations
-(the built-in composition ``g∘f``) fold before constant folding.
+(the built-in composition ``g∘f``) fold before constant folding.  A closed
+application headed by a constant is unfolded and looked up only when
+``GlobalEnv.may_fold`` finds its shape, the head and argument count of its
+unfolding, among those of the definitions' unfoldings.  Alpha-equal terms
+have alpha-equal heads and as many arguments, so a spine of any other shape
+folds to nothing and is skipped; other closed nodes are always looked up.
 
 The printer reads terms and builds none.  ``g∘f`` and ``A -> B`` drop a
 binder that ``terms.occurs`` finds unused; ``g``, ``f`` and ``B`` print as
@@ -86,7 +91,9 @@ def printer(env: Optional[GlobalEnv] = None) -> Show:
 
 class _Printer:
     """Prints terms: given ``env``, it folds ``g∘f`` and constants, the
-    latter through ``memo``, the unfoldings computed so far.
+    latter through ``memo``, the unfoldings computed so far.  An application
+    is unwound once, for that and for printing; a closed one with a constant
+    head is unfolded only if ``env.may_fold`` allows its shape (see above).
 
     ``cache``, if any, maps ``(id(node), prec, tuple(scope))`` of a closed
     non-leaf node to the node and its string.  The key is the node's
@@ -129,21 +136,22 @@ class _Printer:
                 return hit[1]
 
         s, level = None, _ATOM
+        args: list[Term] = []
+        head = unwind(t, args) if cls is App else t  # any other node is its own head
         if self.env is not None:
             comp = match_composition(t)
             if comp is not None:
                 s, level = f"{self._gone(comp[0], _APP)}∘{self._gone(comp[1], _APP)}", _COMP
             elif t.fa == 0:
                 try:
-                    s = self.env.fold_name(unfold_all(self.env, t, self.memo))
+                    if type(head) is not Const or self.env.may_fold(head, len(args)):
+                        s = self.env.fold_name(unfold_all(self.env, t, self.memo))
                 except TypeCheckError:  # a name outside env: no definition unfolds to it
                     pass
 
         if s is None:
             render = self.render
             if cls is App:
-                args: list[Term] = []
-                head = unwind(t, args)
                 s = " ".join([render(head, _ATOM)] + [render(a, _ATOM) for a in reversed(args)])
                 level = _APP
             elif cls is Lam:

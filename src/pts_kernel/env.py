@@ -77,10 +77,10 @@ EnvEntry = Union[Decl, Def, Rewrite]
 
 class _Table:
     """The entries shared by an environment and its extensions, and what is
-    derived from them: unfoldings, templates and fold names.  Only ever
+    derived from them: unfoldings, templates, fold names and shapes.  Only ever
     appended to, so a view of its first ``n`` entries never changes."""
 
-    __slots__ = ("entries", "order", "rules", "unfolded", "templates", "indexed", "folds")
+    __slots__ = ("entries", "order", "rules", "unfolded", "templates", "indexed", "folds", "shapes")
 
     def __init__(self, entries: Iterable[EnvEntry] = ()) -> None:
         self.entries: list[EnvEntry] = []
@@ -90,6 +90,7 @@ class _Table:
         self.templates: dict[str, tuple] = {}  # name -> terms.compile_template of its body
         self.indexed = 0  # entries scanned into ``folds``
         self.folds: dict[Term, list[int]] = {}  # unfolding -> definitions, oldest first
+        self.shapes: set[tuple[Term, int]] = set()  # (head, argument count) of each unwound key
         for e in entries:
             self.append(e)
 
@@ -160,15 +161,28 @@ class GlobalEnv:
             return rules
         return [r for r in rules if self.age(r.name) >= 0]
 
-    def fold_name(self, unfolded: Term) -> Optional[str]:
-        """The youngest definition whose full unfolding is ``unfolded``."""
+    def _folds(self) -> _Table:
+        """The table, its fold index caught up to this view."""
         table = self._table
         while table.indexed < self._size:
             entry = table.entries[table.indexed]
             if isinstance(entry, Def):
-                key = unfold_all(self, Const(entry.name))
+                key, args = unfold_all(self, Const(entry.name)), []
                 table.folds.setdefault(key, []).append(table.indexed)
+                table.shapes.add((unwind(key, args), len(args)))
             table.indexed += 1
+        return table
+
+    def may_fold(self, head: Const, n: int) -> bool:
+        """False if no definition unfolds to what ``head`` applied to ``n``
+        arguments does, by the head and argument count of both unwound; True
+        leaves it to ``fold_name``.  Raises ``UnknownConstant`` as ``unfold_all``."""
+        shapes, args = self._folds().shapes, []
+        return (unwind(unfold_all(self, head), args), len(args) + n) in shapes
+
+    def fold_name(self, unfolded: Term) -> Optional[str]:
+        """The youngest definition whose full unfolding is ``unfolded``."""
+        table = self._folds()
         for i in reversed(table.folds.get(unfolded, ())):
             if i < self._size:
                 return table.entries[i].name

@@ -10,11 +10,11 @@ from pts_kernel.display import (
     printer,
     raw_display,
 )
-from pts_kernel.env import Def, GlobalEnv, unfold_all
+from pts_kernel.env import Def, GlobalEnv, add_entry, unfold_all
 from pts_kernel.parser import elaborate, parse_term_surface
-from pts_kernel.reduce import ANNOTATIONS, trace
+from pts_kernel.reduce import ANNOTATIONS, HEAD_DEF, HEAD_LINEAR, trace
 from pts_kernel.specs import LAMBDA_HOL
-from pts_kernel.terms import STAR_T, App, Const, Lam, Let, Pi, Var, alpha_eq, app, shift
+from pts_kernel.terms import STAR_T, App, Const, Lam, Let, Pi, Var, alpha_eq, app, shift, unwind
 
 
 def _term(src, env):
@@ -331,3 +331,98 @@ def test_deep_scopes_prime_colliding_hints(binders, uses):
     expected = "".join(parts) + body
     assert plain_display(t) == expected
     assert printer()(t) == expected
+
+
+# -- only spines whose shape a definition has are unfolded --------------------
+
+
+_SHAPES = """system lambda-hol.
+const A : *.
+const g : A -> A -> A -> A.
+const a : A.
+const b : A.
+const c : A.
+def k : A -> A -> A := g a.
+"""
+
+
+def _spine(src):
+    return app(*[Const(name) for name in src.split()])
+
+
+def _shape_views():
+    """``older``, and ``env``: ``older`` and ``j := k b c``, on one table."""
+    older = run_program(_SHAPES).env
+    return older, add_entry(older, Def("j", Const("A"), _spine("k b c")))
+
+
+def test_shapes_count_the_unfoldings_arguments_and_respect_views():
+    # k unfolds to `g a`, so `k b c` has head g and 1 + 2 arguments, as j's
+    # unfolding `g a b c` has; counting only the spine's own 2 would print `k b c`.
+    folded = {
+        "k b c": "j",
+        "g a b c": "j",
+        "g a b": "g a b",
+        "k b": "k b",
+        "k b d": "k b d",  # d is unknown
+    }
+    for env_first in (False, True):
+        older, env = _shape_views()  # a fresh table: the first print indexes it
+        views = [(env, folded), (older, {"k b c": "k b c", "g a b c": "g a b c"})]
+        for view, rows in views if env_first else reversed(views):
+            show = printer(view)
+            for src, want in rows.items():
+                assert fold_display(_spine(src), view) == want, (src, env_first)
+                assert show(_spine(src)) == want, (src, env_first)
+        t = App(Const("z"), _spine("g a b c"))  # z is unknown
+        assert fold_display(t, env) == printer(env)(t) == "z j"
+
+
+def _ruled_out(env, t, memo):
+    """How many closed constant-headed spines in ``t`` ``may_fold`` rules
+    out, asserting that no definition unfolds to any of them."""
+    todo, seen, count = [t], set(), 0
+    while todo:
+        u = todo.pop()
+        if id(u) in seen:
+            continue
+        seen.add(id(u))
+        match u:
+            case App(f, a):
+                todo += [f, a]
+            case Lam(_, dom, body) | Pi(_, dom, body):
+                todo += [dom, body]
+            case Let(_, ann, defn, body):
+                todo += [ann, defn, body]
+        if type(u) is App and u.fa == 0:
+            args = []
+            head = unwind(u, args)
+            if type(head) is Const and not env.may_fold(head, len(args)):
+                assert env.fold_name(unfold_all(env, u, memo)) is None, u
+                count += 1
+    return count
+
+
+def test_spines_ruled_out_of_trace_rows_never_fold(all_bundles):
+    for bundle in all_bundles:
+        env, start, memo = bundle.env, bundle.key_terms["bottomProof"], {}
+        for strategy, steps in ((HEAD_DEF, 100), (HEAD_LINEAR, 30)):
+            rows = [start] + [s.raw for s in trace(env, start, strategy, steps).steps]
+            assert sum(_ruled_out(env, row, memo) for row in rows) > 0, (bundle.id, strategy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    src=st.sampled_from(TYPES).flatmap(terms),
+    ops=st.lists(
+        st.tuples(
+            st.integers(0, 5), st.integers(0, 999), st.integers(0, 999), st.sampled_from(_HINTS)
+        ),
+        max_size=40,
+    ),
+)
+def test_spines_ruled_out_of_generated_terms_never_fold(refined, src, ops):
+    _ruled_out(ENV, _term(src, ENV), {})
+    memo = {}
+    for t in _shared_nodes(refined.env, ops):
+        _ruled_out(refined.env, t, memo)
