@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from typing import Optional
 
@@ -25,27 +26,24 @@ from .terms import Const, Term
 # Target resolution: a bundle id or a development file
 
 
-def _load_target(target: str, system_override: Optional[str]) -> tuple[GlobalEnv, dict]:
-    if target in BUNDLE_IDS:
-        bundle = get_bundle(target)
-        env = bundle.env
-        if system_override and system_override != bundle.env.spec.name:
-            env = env.with_spec(PRESETS[system_override])
-        return env, dict(bundle.key_terms)
-    report = run_file(target, system_override)
-    names = {e.name: Const(e.name) for e in report.env.entries if isinstance(e, (Decl, Def))}
-    return report.env, names
+def _load_target(args: argparse.Namespace) -> tuple[GlobalEnv, Term]:
+    """The environment of ``args.target``, a bundle or a file, and its term ``args.term``."""
+    if args.target in BUNDLE_IDS:
+        bundle = get_bundle(args.target)
+        env, terms = bundle.env, bundle.key_terms
+        if args.system and args.system != env.spec.name:
+            env = env.with_spec(PRESETS[args.system])
+    else:
+        env = run_file(args.target, args.system).env
+        terms = {e.name: Const(e.name) for e in env.entries if isinstance(e, (Decl, Def))}
+    if args.term not in terms:
+        raise KernelError(f"unknown term {args.term!r} in {args.target}")
+    return env, terms[args.term]
 
 
 def _require_count(flag: str, value: int) -> None:
     if value < 0:
         raise KernelError(f"{flag} must be 0 or more, not {value}")
-
-
-def _resolve_term(terms: dict, name: str, target: str) -> Term:
-    if name not in terms:
-        raise KernelError(f"unknown term {name!r} in {target}")
-    return terms[name]
 
 
 # --------------------------------------------------------------------------
@@ -61,8 +59,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     _require_count("--steps", args.steps)
-    env, terms = _load_target(args.target, args.system)
-    t = _resolve_term(terms, args.term, args.target)
+    env, t = _load_target(args)
     tr = trace(env, t, args.strategy, args.steps, mode=args.erase)
     if args.format == "text":
         for row in tr.displays:
@@ -79,16 +76,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_erase(args: argparse.Namespace) -> int:
-    env, terms = _load_target(args.target, args.system)
-    t = _resolve_term(terms, args.term, args.target)
+    env, t = _load_target(args)
     print(plain_display(erase(t, args.erase, env)))
     return 0
 
 
 def cmd_loop(args: argparse.Namespace) -> int:
     _require_count("--bound", args.bound)
-    env, terms = _load_target(args.target, args.system)
-    t = _resolve_term(terms, args.term, args.target)
+    env, t = _load_target(args)
     report = detect_loop(env, t, args.strategy, args.bound, mode=args.erase)
     state = f"entry={report.entry} period={report.period}" if report.found else "no repetition"
     print(f"found={str(report.found).lower()} {state} (bound={report.bound}, steps={report.steps})")
@@ -151,8 +146,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     sys.setrecursionlimit(100_000)
-    args = _parser().parse_args(argv)
+    thresholds = gc.get_threshold()
+    gc.set_threshold(100_000, *thresholds[1:])  # the kernel leaves no cycles to collect
     try:
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except (KernelError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -160,6 +157,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:
         print("error: the input nests too deeply", file=sys.stderr)
         return 1
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -82,7 +82,7 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
     try:
         directives = parse_program(src)
     except ParseError as err:
-        report.error = err
+        report.error = err.with_traceback(None)  # its frames would hold the report
         report.lines.append(ReportLine(False, (f"parse error: {err}",)))
         return report
 
@@ -155,7 +155,8 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
                 for row in [tr.start] + [s.raw for s in tr.steps]:
                     say(True, "  ", row, show=tr.show)  # folded even in a raw report
         except KernelError as err:
-            report.error = err
+            err.__context__ = err.__cause__ = None  # chained errors hold frames too
+            report.error = err.with_traceback(None)
             report.failed_entry = d.name or d.kind
             say(False, f"{d.kind} {d.name or ''}: {err}".strip())
             return report

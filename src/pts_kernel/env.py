@@ -7,7 +7,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import DuplicateNameError, IllFormedPatternError, TypeCheckError, UNKNOWN_CONSTANT
 from .specs import PtsSpec
-from .terms import HOLE, App, Const, Lam, Let, Pi, SortT, Term, Var, compile_template, subst, unwind
+from .terms import HOLE, App, Const, Lam, Let, Pi, Term, compile_template, subst, unwind
 
 
 _set = object.__setattr__  # how a Value's __init__ writes its fields
@@ -220,35 +220,35 @@ def unfold_all(env: GlobalEnv, t: Term, memo: Optional[dict[Term, Term]] = None)
     of names are cached on the environment's table; ``memo`` additionally
     shares the unfoldings of subterms between calls.
     """
-    cache = env._table.unfolded
+    return _unfold(t, env, env._table.unfolded, memo)
 
-    def go(t: Term) -> Term:
-        if memo is not None:
-            hit = memo.get(t)
-            if hit is not None:
-                return hit
-        match t:
-            case SortT(_) | Var(_, _):
-                return t
-            case Const(name):
-                if name == HOLE.name:
-                    return t
-                entry = env.lookup(name)
-                out = cache.get(name)
-                if out is None:
-                    out = cache[name] = go(entry.body) if isinstance(entry, Def) else t
-            case App(f, a):
-                out = App(go(f), go(a))
-            case Lam(h, dom, body):
-                out = Lam(h, go(dom), go(body))
-            case Pi(h, dom, cod):
-                out = Pi(h, go(dom), go(cod))
-            case Let(_, _, d, b):
-                out = go(subst(b, d))
-            case _:
-                return t
-        if memo is not None:
-            memo[t] = out
-        return out
 
-    return go(t)
+def _unfold(t: Term, env: GlobalEnv, cache: dict[str, Term], memo: Optional[dict]) -> Term:
+    """``unfold_all``'s walk, at module level: a nested function calling itself is a cycle."""
+    if memo is not None:
+        hit = memo.get(t)
+        if hit is not None:
+            return hit
+    cls = type(t)
+    if cls is App:
+        out: Term = App(_unfold(t.fn, env, cache, memo), _unfold(t.arg, env, cache, memo))
+    elif cls is Const:
+        name = t.name
+        if name == HOLE.name:
+            return t
+        entry = env.lookup(name)
+        out = cache.get(name)
+        if out is None:
+            out = _unfold(entry.body, env, cache, memo) if isinstance(entry, Def) else t
+            cache[name] = out
+    elif cls is Lam:
+        out = Lam(t.hint, _unfold(t.dom, env, cache, memo), _unfold(t.body, env, cache, memo))
+    elif cls is Pi:
+        out = Pi(t.hint, _unfold(t.dom, env, cache, memo), _unfold(t.cod, env, cache, memo))
+    elif cls is Let:
+        out = _unfold(subst(t.body, t.defn), env, cache, memo)
+    else:  # sorts and variables
+        return t
+    if memo is not None:
+        memo[t] = out
+    return out

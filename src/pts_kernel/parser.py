@@ -340,46 +340,47 @@ def elaborate(s: Surface, env: GlobalEnv, metas: Ctx = ()) -> Term:
     """Resolve names and expand notations.  ``metas`` is the context of a
     rule's metavariables (``typecheck.rule_context``), which sits below the
     binders of ``s``."""
-    meta_hints = [hint for hint, _, _ in metas]
+    return _elab(s, env, [], metas)
 
-    def go(s: Surface, scope: list[str], ctx: Ctx) -> Term:
-        cls = type(s)
-        if cls is SName:
-            name = s.name
-            if name in scope:
-                return Var(scope.index(name), name)
-            try:
-                entry = env.lookup(name)
-            except TypeCheckError:
-                raise ParseError(f"unknown name {name}", s.line, s.col) from None
-            if isinstance(entry, Rewrite):
-                raise ParseError(f"{name} names a rewrite rule, not a term", s.line, s.col)
-            return Const(name)
-        if cls is SApp:
-            return App(go(s.fn, scope, ctx), go(s.arg, scope, ctx))
-        if cls is SArrow:
-            return Pi("_", go(s.dom, scope, ctx), shift(go(s.cod, scope, ctx), 1))
-        if cls is SLam or cls is SPi:
-            name = s.name
-            d = go(s.dom, scope, ctx)
-            body = go(s.body if cls is SLam else s.cod, [name] + scope, push(ctx, name, d))
-            return (Lam if cls is SLam else Pi)(name, d, body)
-        if cls is SSort:
-            return SortT(SORT_BY_TOKEN[s.token])
-        if cls is SMeta:
-            if s.name not in meta_hints:
-                raise ParseError(f"metavariable ${s.name} not allowed here", s.line, s.col)
-            return Var(len(scope) + meta_hints.index(s.name), s.name)
-        if cls is SLet:
-            name = s.name
-            a = go(s.ann, scope, ctx)
-            dfn = go(s.defn, scope, ctx)
-            return Let(name, a, dfn, go(s.body, [name] + scope, push(ctx, name, a, dfn)))
-        g = go(s.g, scope, ctx)  # SComp
-        f = go(s.f, scope, ctx)
-        return _expand_composition(env, g, f, scope, ctx + metas, s.line, s.col)
 
-    return go(s, [], ())
+def _elab(s: Surface, env: GlobalEnv, scope: list[str], ctx: Ctx) -> Term:
+    """``elaborate`` under ``scope``, innermost first, typed by ``ctx`` above the metavariables."""
+    cls = type(s)
+    if cls is SName:
+        name = s.name
+        if name in scope:
+            return Var(scope.index(name), name)
+        try:
+            entry = env.lookup(name)
+        except TypeCheckError:
+            raise ParseError(f"unknown name {name}", s.line, s.col) from None
+        if isinstance(entry, Rewrite):
+            raise ParseError(f"{name} names a rewrite rule, not a term", s.line, s.col)
+        return Const(name)
+    if cls is SApp:
+        return App(_elab(s.fn, env, scope, ctx), _elab(s.arg, env, scope, ctx))
+    if cls is SArrow:
+        return Pi("_", _elab(s.dom, env, scope, ctx), shift(_elab(s.cod, env, scope, ctx), 1))
+    if cls is SLam or cls is SPi:
+        name = s.name
+        d = _elab(s.dom, env, scope, ctx)
+        body = _elab(s.body if cls is SLam else s.cod, env, [name] + scope, push(ctx, name, d))
+        return (Lam if cls is SLam else Pi)(name, d, body)
+    if cls is SSort:
+        return SortT(SORT_BY_TOKEN[s.token])
+    if cls is SMeta:
+        meta_hints = [hint for hint, _, _ in ctx[len(scope):]]
+        if s.name not in meta_hints:
+            raise ParseError(f"metavariable ${s.name} not allowed here", s.line, s.col)
+        return Var(len(scope) + meta_hints.index(s.name), s.name)
+    if cls is SLet:
+        name = s.name
+        a = _elab(s.ann, env, scope, ctx)
+        dfn = _elab(s.defn, env, scope, ctx)
+        return Let(name, a, dfn, _elab(s.body, env, [name] + scope, push(ctx, name, a, dfn)))
+    g = _elab(s.g, env, scope, ctx)  # SComp
+    f = _elab(s.f, env, scope, ctx)
+    return _expand_composition(env, g, f, scope, ctx, s.line, s.col)
 
 
 def _expand_composition(
@@ -420,25 +421,24 @@ def surface_to_pattern(s: Surface, line: int, col: int) -> Term:
     ``$x`` becomes ``Var(i, "x")``, numbered last argument first.  Shape
     errors are reported at ``line``:``col``, a repeated metavariable at its
     second occurrence."""
-    indices: dict[str, int] = {}
+    return _pattern(s, {}, line, col)
 
-    def go(s: Surface) -> Term:
-        args: list[Term] = []
-        while isinstance(s, SApp):
-            args.append(arg(s.arg))
-            s = s.fn
-        if not isinstance(s, SName):
-            raise ParseError("pattern head must be a constant", line, col)
-        return app(Const(s.name), *reversed(args))
 
-    def arg(s: Surface) -> Term:
-        if isinstance(s, SMeta):
-            if s.name in indices:
-                raise ParseError(f"metavariable ${s.name} occurs twice", s.line, s.col)
-            indices[s.name] = len(indices)
-            return Var(indices[s.name], s.name)
-        if isinstance(s, (SApp, SName)):
-            return go(s)
-        raise ParseError("pattern arguments are metavariables or constant spines", line, col)
-
-    return go(s)
+def _pattern(s: Surface, indices: dict[str, int], line: int, col: int) -> Term:
+    """The spine ``s`` of a pattern, ``indices`` numbering its metavariables so far."""
+    args: list[Term] = []
+    while type(s) is SApp:
+        a = s.arg
+        if type(a) is SMeta:
+            if a.name in indices:
+                raise ParseError(f"metavariable ${a.name} occurs twice", a.line, a.col)
+            indices[a.name] = len(indices)
+            args.append(Var(indices[a.name], a.name))
+        elif type(a) is SApp or type(a) is SName:
+            args.append(_pattern(a, indices, line, col))
+        else:
+            raise ParseError("pattern arguments are metavariables or constant spines", line, col)
+        s = s.fn
+    if type(s) is not SName:
+        raise ParseError("pattern head must be a constant", line, col)
+    return app(Const(s.name), *reversed(args))

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pts_kernel import display
+from pts_kernel import cli, display
 from pts_kernel.cli import main, run_program
 from pts_kernel.corpus import BUNDLE_IDS
 
@@ -438,6 +439,80 @@ def test_parse_error_reports_position():
     report = run_program("const : #.")
     assert not report.ok
     assert "parse error" in report.render()
+
+
+def test_commands_leave_no_reference_cycles(tmp_path, capsys):
+    # What a command frees must go by reference counting alone: garbage in a
+    # cycle waits for the collector, whose generation-0 threshold `main`
+    # raises for the command's length.  DEBUG_SAVEALL keeps every object the
+    # collector would free in gc.garbage.
+    parse_error, unknown, dev = (tmp_path / n for n in ("parse.pts", "unknown.pts", "dev.pts"))
+    parse_error.write_text("const A : *.\nconst : A.\n", encoding="utf-8")
+    unknown.write_text("const A : *.\nconst a : B.\n", encoding="utf-8")
+    dev.write_text(
+        (CORPUS / "refined-axiomatic.pts").read_text(encoding="utf-8")
+        + "def bottomProof : ⊥ := l₀ p₀ l₂ l₁.\n",
+        encoding="utf-8",
+    )
+    runs = [(["check", str(path)], 0) for path in sorted(CORPUS.glob("*.pts"))]
+    runs += [
+        (["check", str(CORPUS / "reynolds-a.pts"), "--system", "lambda-hol"], 1),
+        (["check", str(parse_error)], 1),
+        (["check", str(unknown)], 1),
+        (["erase", "reynolds-A", "bottomProof", "--erase", "poly"], 0),
+    ]
+    for target in ("refined-axiomatic", str(dev)):
+        for flags in ([], ["--erase", "annotations"], ["--format", "structured"]):
+            runs.append((["trace", target, "bottomProof", "--steps", "20", *flags], 0))
+    for strategy in ("head-def", "head-linear"):
+        for flags in ([], ["--erase", "annotations"], ["--erase", "poly"]):
+            argv = ["loop", "simple", "bottomProof", "--bound", "100", "--strategy", strategy]
+            runs.append(([*argv, *flags], 0))
+    cli._parser()  # argparse's parser holds cycles; it is built once per process
+    left, debug = {}, gc.get_debug()
+    gc.collect()
+    gc.set_debug(debug | gc.DEBUG_SAVEALL)
+    try:
+        for argv, status in runs:
+            assert main(argv) == status, argv
+            gc.collect()
+            if gc.garbage:
+                kinds = sorted({type(o).__qualname__ for o in gc.garbage})
+                left[" ".join(argv)] = (len(gc.garbage), kinds[:5])
+                gc.garbage.clear()
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    assert left == {}
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["check", str(CORPUS / "simple.pts")], 0),
+        (["loop", "simple", "nonsense"], 1),  # a KernelError
+        (["check", "dev.pts", "--no-such-flag"], 2),  # argparse's SystemExit
+    ],
+    ids=["ok", "kernel-error", "bad-flag"],
+)
+def test_main_restores_the_collector_thresholds(monkeypatch, capsys, argv, status):
+    seen = []
+    real = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda: seen.append(gc.get_threshold()) or real())
+    before = gc.get_threshold()
+    gc.set_threshold(500, 7, 9)
+    try:
+        if status == 2:
+            with pytest.raises(SystemExit) as raised:
+                main(argv)
+            assert raised.value.code == 2
+        else:
+            assert main(argv) == status
+        after = gc.get_threshold()
+    finally:
+        gc.set_threshold(*before)
+    assert seen == [(100_000, 7, 9)]  # while the command ran
+    assert after == (500, 7, 9)
 
 
 LONG_TRACE_FLAGS = ([], ["--erase", "annotations"], ["--erase", "poly"], ["--format", "structured"])
