@@ -145,6 +145,40 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if sys.version_info < (3, 11):
+        return _on_a_large_stack(argv)
+    return _main(argv)
+
+
+def _on_a_large_stack(argv: Optional[list[str]]) -> int:
+    """``_main(argv)`` in one worker thread with a 256 MiB stack.
+    CPython before 3.11 spends C stack on every Python call, so the main
+    thread's stack overflows (SIGSEGV) long before the recursion limit that
+    ``_main`` sets; on this stack a ``RecursionError`` comes first.  Whatever
+    ``_main`` raises is raised again here."""
+    import threading
+
+    outcome: list = []
+
+    def run() -> None:
+        try:
+            outcome.append(_main(argv))
+        except BaseException as err:  # re-raised in the calling thread
+            outcome.append(err)
+
+    old = threading.stack_size(256 << 20)
+    try:
+        worker = threading.Thread(target=run)
+        worker.start()
+    finally:
+        threading.stack_size(old)
+    worker.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome.pop()  # held by no local, so its traceback makes no cycle
+    return outcome[0]
+
+
+def _main(argv: Optional[list[str]]) -> int:
     sys.setrecursionlimit(100_000)
     thresholds = gc.get_threshold()
     gc.set_threshold(100_000, *thresholds[1:])  # the kernel leaves no cycles to collect

@@ -26,8 +26,10 @@ prints a node, and its ``_under`` helper prints a body under a named binder.
 A trace prints its rows through a ``printer`` that lives as long as the
 trace and shares work between them: one unfolding memo, and a cache of the
 strings of closed non-leaf subterms keyed by node identity, precedence and
-the binder names in scope.  Consecutive rows share most of their nodes, so
-each row costs about what changed since the one before.
+the binder names in scope.  Terms are hash-consed, so a node's identity is
+its structure with its hints: consecutive rows share most of their nodes,
+whether a step kept them or built them again, and each row costs about what
+changed since the one before.
 """
 
 from __future__ import annotations
@@ -96,10 +98,9 @@ class _Printer:
     head is unfolded only if ``env.may_fold`` allows its shape (see above).
 
     ``cache``, if any, maps ``(id(node), prec, tuple(scope))`` of a closed
-    non-leaf node to the node and its string.  The key is the node's
-    identity, not ``Term`` equality, because equality ignores binder hints
-    while printed names come from them; holding the node keeps its id from
-    being reused.  The key includes the scope because ``_fresh`` primes the
+    non-leaf node to its string.  Terms are hash-consed, so the id stands for
+    the node's structure and hints, and a node is never freed, so its id is
+    never reused.  The key includes the scope because ``_fresh`` primes the
     node's binder names against the enclosing ones.  ``scope`` holds the
     binder names innermost first, and ``names`` those but ``_GONE``; they
     are distinct, as ``_fresh`` makes them, so a set tests one in O(1).
@@ -133,7 +134,7 @@ class _Printer:
             key = (id(t), prec, tuple(self.scope))
             hit = cache.get(key)
             if hit is not None:
-                return hit[1]
+                return hit
 
         s, level = None, _ATOM
         args: list[Term] = []
@@ -173,7 +174,7 @@ class _Printer:
 
         out = f"({s})" if prec > level else s
         if key is not None:
-            cache[key] = (t, out)
+            cache[key] = out
         return out
 
     def _under(self, hint: str, body: Term) -> tuple[str, str]:

@@ -89,8 +89,8 @@ class _Table:
         self.unfolded: dict[str, Term] = {}  # name -> full unfolding
         self.templates: dict[str, tuple] = {}  # name -> terms.compile_template of its body
         self.indexed = 0  # entries scanned into ``folds``
-        self.folds: dict[Term, list[int]] = {}  # unfolding -> definitions, oldest first
-        self.shapes: set[tuple[Term, int]] = set()  # (head, argument count) of each unwound key
+        self.folds: dict[Term, list[int]] = {}  # unfolding's skel -> definitions, oldest first
+        self.shapes: set[tuple[Term, int]] = set()  # (head's skel, argument count) of each key
         for e in entries:
             self.append(e)
 
@@ -167,7 +167,7 @@ class GlobalEnv:
         while table.indexed < self._size:
             entry = table.entries[table.indexed]
             if isinstance(entry, Def):
-                key, args = unfold_all(self, Const(entry.name)), []
+                key, args = unfold_all(self, Const(entry.name)).skel, []
                 table.folds.setdefault(key, []).append(table.indexed)
                 table.shapes.add((unwind(key, args), len(args)))
             table.indexed += 1
@@ -178,12 +178,12 @@ class GlobalEnv:
         arguments does, by the head and argument count of both unwound; True
         leaves it to ``fold_name``.  Raises ``UnknownConstant`` as ``unfold_all``."""
         shapes, args = self._folds().shapes, []
-        return (unwind(unfold_all(self, head), args), len(args) + n) in shapes
+        return (unwind(unfold_all(self, head).skel, args), len(args) + n) in shapes
 
     def fold_name(self, unfolded: Term) -> Optional[str]:
         """The youngest definition whose full unfolding is ``unfolded``."""
         table = self._folds()
-        for i in reversed(table.folds.get(unfolded, ())):
+        for i in reversed(table.folds.get(unfolded.skel, ())):
             if i < self._size:
                 return table.entries[i].name
         return None
@@ -218,7 +218,8 @@ def unfold_all(env: GlobalEnv, t: Term, memo: Optional[dict[Term, Term]] = None)
     The result mentions only declared (opaque) constants.  Raises
     ``UnknownConstant`` for names missing from the environment.  Unfoldings
     of names are cached on the environment's table; ``memo`` additionally
-    shares the unfoldings of subterms between calls.
+    shares the unfoldings of subterms between calls, keyed by ``skel``, so
+    one subterm's unfolding serves every alpha-equal one.
     """
     return _unfold(t, env, env._table.unfolded, memo)
 
@@ -226,7 +227,7 @@ def unfold_all(env: GlobalEnv, t: Term, memo: Optional[dict[Term, Term]] = None)
 def _unfold(t: Term, env: GlobalEnv, cache: dict[str, Term], memo: Optional[dict]) -> Term:
     """``unfold_all``'s walk, at module level: a nested function calling itself is a cycle."""
     if memo is not None:
-        hit = memo.get(t)
+        hit = memo.get(t.skel)
         if hit is not None:
             return hit
     cls = type(t)
@@ -250,5 +251,5 @@ def _unfold(t: Term, env: GlobalEnv, cache: dict[str, Term], memo: Optional[dict
     else:  # sorts and variables
         return t
     if memo is not None:
-        memo[t] = out
+        memo[t.skel] = out
     return out

@@ -14,7 +14,8 @@ Head-def steps and readback hold a state as a head and an argument stack (the
 Krivine machine's): an event pops the arguments it consumes, and the result's
 spine is pushed, so no step rebuilds the whole application; a definition's
 compiled template pushes its result's arguments without building a spine.
-Loop search keys a head-def state by the tuple ``(head, *args)``.
+Loop search keys a head-def state by the skeletons (``Term.skel``) of the
+tuple ``(head, *args)``, so alpha-equal states meet.
 
 Head-linear reduction runs on a resumable machine (``_LinearMachine``) that
 keeps a zipper on the head path: the nodes from the root to the tip, what
@@ -44,6 +45,7 @@ applications.
 """
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .display import Show, printer
@@ -77,6 +79,8 @@ POLY = "poly"
 ERASURE_MODES = (ANNOTATIONS, POLY)
 
 LINEAR_SUBST = "linear-subst"
+
+_skel = attrgetter("skel")
 
 
 class TraceStep:
@@ -279,12 +283,14 @@ def _walk(
     ``step`` is ``(kind, detail, term)``, detail and term None unless ``rows``
     (a head-def state term is built only then).  ``key`` is the observation of
     the new state, the readback under head-linear and the state under
-    head-def, as the tuple ``(head, *stack)``: equal to another exactly when
-    the two applications are alpha-equal, since a head is never an ``App``.
-    Observations are numbered from 0 at ``t``; a step that leaves the state
-    unchanged makes none.  ``loop`` is None until a step revisits observation
-    ``entry``, when it is ``(entry, period)`` and the walk ends, as on a
-    head-normal form."""
+    head-def, as the tuple ``(head, *stack)``.  Observations are numbered
+    from 0 at ``t`` and looked up by the skeletons of their keys, one tuple
+    equal to another exactly when the two applications are alpha-equal,
+    since a head is never an ``App``.  A step that leaves the state unchanged
+    makes none; a head-linear step that leaves the machine's key as it was is
+    such a step, and is not looked up.  ``loop`` is None until a step
+    revisits observation ``entry``, when it is ``(entry, period)`` and the
+    walk ends, as on a head-normal form."""
     linear = strategy == HEAD_LINEAR
     if linear:
         machine = _LinearMachine(env, t)
@@ -295,15 +301,19 @@ def _walk(
         key = (head, *stack)
     else:
         raise KernelError(f"unknown strategy {strategy!r}")
-    seen = {key: 0}
+    seen = {tuple(map(_skel, key)): 0}
     for _ in range(limit):
         result: tuple
         if linear:
+            last = key
             kind = machine.step()
             if kind is None:
                 return
             key = machine.key()
             result = (kind, machine.detail(), machine.term()) if rows else (kind, None, None)
+            if key is last:
+                yield result, key, None
+                continue
         else:
             event = _head_event(env, head, stack)
             if event is None:
@@ -315,7 +325,7 @@ def _walk(
         # The last observation holds number count - 1: meeting it again means
         # the state is unchanged, meeting an older one closes a loop.
         count = len(seen)
-        entry = seen.setdefault(key, count)
+        entry = seen.setdefault(tuple(map(_skel, key)), count)
         if entry < count - 1:
             yield result, key, (entry, count - entry)
             return

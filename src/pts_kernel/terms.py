@@ -1,10 +1,22 @@
-"""Term syntax: sorts, de Bruijn terms, alpha-equality and re-indexing.
+"""Term syntax: sorts, hash-consed de Bruijn terms, alpha-equality and
+re-indexing.
 
 Binding is by de Bruijn index; every binder and variable carries a display
-hint that is ignored by equality, hashing, and substitution.  Each node caches
-a structural hash (``shash``) and the number of dangling indices (``fa``,
-one more than the largest free index) so that equality checks and
-loop-detection hashing are cheap even on very large reduction states.
+hint that substitution carries along and alpha-equality ignores.  Terms are
+hash-consed: a constructor returns the one live node of its class with its
+hint (or sort, name or index) and its children, the children compared by
+identity, from one process-wide table.  Terms of equal structure and equal
+hints are therefore one object, and a term hashes and compares by identity.
+The table keeps every node it hands out for the life of the process: corpus
+bundles and environment tables hold nodes from one command to the next, and a
+node must stay the one node of its structure while anything can reach it.
+
+Each node holds ``skel``, its copy with every hint set to ``""`` (the node
+itself when it has no hints), interned like any node: two terms are
+alpha-equal exactly when their skeletons are one node, so ``alpha_eq`` is one
+``is``, and whatever keys a table up to alpha-equality keys it by ``skel``.
+Each node also holds ``fa``, the number of dangling indices (one more than
+the largest free index).
 
 ``shift`` and ``instantiate`` re-index variables through one traversal,
 ``_reindex``; each gives only what a variable at or above the cutoff
@@ -12,7 +24,7 @@ becomes.  ``instantiate`` is simultaneous substitution: it eliminates a
 whole run of binders in one pass, as a ``fun`` chain applied to its
 arguments does, and ``subst`` is its one-value case.  The traversal returns
 every subterm with no variable at or above the cutoff (``fa <= cutoff``) as
-the same object, which callers rely on.  ``compile_template`` compiles a
+the same object, without looking it up again.  ``compile_template`` compiles a
 definition's body once into closures that build what ``instantiate`` would
 from it.  ``occurs`` asks whether one variable occurs, by reading alone.
 """
@@ -41,19 +53,13 @@ TRIANGLE = Sort(2, "##")
 SORTS = (STAR, BOX, TRIANGLE)
 SORT_BY_TOKEN = {s.token: s for s in SORTS}
 
+# (class, hint or leaf datum, children...) -> the one node built from them.
+_NODES: dict[tuple, Term] = {}
+_new = object.__new__
+
 
 class Term:
-    __slots__ = ("shash", "fa")
-
-    def __hash__(self) -> int:
-        return self.shash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Term):
-            return NotImplemented
-        return alpha_eq(self, other)
+    __slots__ = ("fa", "skel")
 
     def __repr__(self) -> str:
         return _debug_repr(self)
@@ -63,68 +69,96 @@ class SortT(Term):
     __slots__ = ("sort",)
     __match_args__ = ("sort",)
 
-    def __init__(self, sort: Sort) -> None:
-        self.sort = sort
-        self.shash = hash(("S", sort.rank))
-        self.fa = 0
+    def __new__(cls, sort: Sort) -> SortT:
+        key = (cls, sort)
+        node = _NODES.get(key)
+        if node is None:
+            node = _new(cls)
+            node.sort, node.fa, node.skel = sort, 0, node
+            _NODES[key] = node
+        return node
 
 
 class Var(Term):
     __slots__ = ("index", "hint")
     __match_args__ = ("index", "hint")
 
-    def __init__(self, index: int, hint: str = "") -> None:
-        self.index = index
-        self.hint = hint
-        self.shash = hash(("V", index))
-        self.fa = index + 1
+    def __new__(cls, index: int, hint: str = "") -> Var:
+        key = (cls, index, hint)
+        node = _NODES.get(key)
+        if node is None:
+            node = _new(cls)
+            node.index, node.hint, node.fa = index, hint, index + 1
+            node.skel = Var(index) if hint else node
+            _NODES[key] = node
+        return node
 
 
 class Const(Term):
     __slots__ = ("name",)
     __match_args__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.shash = hash(("C", name))
-        self.fa = 0
+    def __new__(cls, name: str) -> Const:
+        key = (cls, name)
+        node = _NODES.get(key)
+        if node is None:
+            node = _new(cls)
+            node.name, node.fa, node.skel = name, 0, node
+            _NODES[key] = node
+        return node
 
 
 class App(Term):
     __slots__ = ("fn", "arg")
     __match_args__ = ("fn", "arg")
 
-    def __init__(self, fn: Term, arg: Term) -> None:
-        self.fn = fn
-        self.arg = arg
-        self.shash = hash(("A", fn.shash, arg.shash))
-        self.fa = fn.fa if fn.fa >= arg.fa else arg.fa
+    def __new__(cls, fn: Term, arg: Term) -> App:
+        key = (cls, fn, arg)
+        node = _NODES.get(key)
+        if node is None:
+            node = _new(cls)
+            node.fn, node.arg = fn, arg
+            node.fa = fn.fa if fn.fa >= arg.fa else arg.fa
+            f, a = fn.skel, arg.skel
+            node.skel = node if f is fn and a is arg else App(f, a)
+            _NODES[key] = node
+        return node
 
 
 class Lam(Term):
     __slots__ = ("hint", "dom", "body")
     __match_args__ = ("hint", "dom", "body")
 
-    def __init__(self, hint: str, dom: Term, body: Term) -> None:
-        self.hint = hint
-        self.dom = dom
-        self.body = body
-        self.shash = hash(("L", dom.shash, body.shash))
-        bf = body.fa - 1
-        self.fa = dom.fa if dom.fa >= bf else bf
+    def __new__(cls, hint: str, dom: Term, body: Term) -> Lam:
+        key = (cls, hint, dom, body)
+        node = _NODES.get(key)
+        if node is None:
+            node = _new(cls)
+            node.hint, node.dom, node.body = hint, dom, body
+            bf = body.fa - 1
+            node.fa = dom.fa if dom.fa >= bf else bf
+            d, b = dom.skel, body.skel
+            node.skel = node if not hint and d is dom and b is body else Lam("", d, b)
+            _NODES[key] = node
+        return node
 
 
 class Pi(Term):
     __slots__ = ("hint", "dom", "cod")
     __match_args__ = ("hint", "dom", "cod")
 
-    def __init__(self, hint: str, dom: Term, cod: Term) -> None:
-        self.hint = hint
-        self.dom = dom
-        self.cod = cod
-        self.shash = hash(("P", dom.shash, cod.shash))
-        cf = cod.fa - 1
-        self.fa = dom.fa if dom.fa >= cf else cf
+    def __new__(cls, hint: str, dom: Term, cod: Term) -> Pi:
+        key = (cls, hint, dom, cod)
+        node = _NODES.get(key)
+        if node is None:
+            node = _new(cls)
+            node.hint, node.dom, node.cod = hint, dom, cod
+            cf = cod.fa - 1
+            node.fa = dom.fa if dom.fa >= cf else cf
+            d, c = dom.skel, cod.skel
+            node.skel = node if not hint and d is dom and c is cod else Pi("", d, c)
+            _NODES[key] = node
+        return node
 
 
 class Let(Term):
@@ -133,14 +167,18 @@ class Let(Term):
     __slots__ = ("hint", "ann", "defn", "body")
     __match_args__ = ("hint", "ann", "defn", "body")
 
-    def __init__(self, hint: str, ann: Term, defn: Term, body: Term) -> None:
-        self.hint = hint
-        self.ann = ann
-        self.defn = defn
-        self.body = body
-        self.shash = hash(("T", ann.shash, defn.shash, body.shash))
-        bf = body.fa - 1
-        self.fa = max(ann.fa, defn.fa, bf)
+    def __new__(cls, hint: str, ann: Term, defn: Term, body: Term) -> Let:
+        key = (cls, hint, ann, defn, body)
+        node = _NODES.get(key)
+        if node is None:
+            node = _new(cls)
+            node.hint, node.ann, node.defn, node.body = hint, ann, defn, body
+            node.fa = max(ann.fa, defn.fa, body.fa - 1)
+            a, d, b = ann.skel, defn.skel, body.skel
+            same = not hint and a is ann and d is defn and b is body
+            node.skel = node if same else Let("", a, d, b)
+            _NODES[key] = node
+        return node
 
 
 STAR_T = SortT(STAR)
@@ -153,51 +191,15 @@ HOLE = Const("•")
 
 def alpha_eq(a: Term, b: Term) -> bool:
     """Structural equality up to binder and variable display hints."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if x.shash != y.shash or x.fa != y.fa:
-            return False
-        cx = type(x)
-        if cx is not type(y):
-            return False
-        if cx is App:
-            stack.append((x.fn, y.fn))
-            stack.append((x.arg, y.arg))
-        elif cx is Var:
-            if x.index != y.index:
-                return False
-        elif cx is Const:
-            if x.name != y.name:
-                return False
-        elif cx is SortT:
-            if x.sort is not y.sort:
-                return False
-        elif cx is Lam:
-            stack.append((x.dom, y.dom))
-            stack.append((x.body, y.body))
-        elif cx is Pi:
-            stack.append((x.dom, y.dom))
-            stack.append((x.cod, y.cod))
-        elif cx is Let:
-            stack.append((x.ann, y.ann))
-            stack.append((x.defn, y.defn))
-            stack.append((x.body, y.body))
-        else:  # pragma: no cover
-            return False
-    return True
+    return a.skel is b.skel
 
 
 def _reindex(t: Term, cutoff: int, leaf: Callable[[Var, int], Term]) -> Term:
     """Rebuild ``t`` with each variable at or above the cutoff replaced by
     ``leaf(var, cutoff)``, the cutoff growing by one under each binder.
 
-    Identity contract: a subterm with no variable at or above its cutoff
-    (``fa <= cutoff``) comes back as the same object, not a copy.  The trace
-    printer caches strings by node identity and the head-linear machine
-    shares nodes between states; both rely on it.
+    A subterm with no variable at or above its cutoff (``fa <= cutoff``)
+    comes back as it is, unwalked: the same node its rebuild would look up.
     """
     if t.fa <= cutoff:
         return t

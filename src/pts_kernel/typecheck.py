@@ -223,7 +223,7 @@ def _match(
         sub: list[Term] = []
         head = _head_normal(env, unwind(t, sub), sub, ctx, fuel, lazy_defs=False, use_rules=False)
         sub_pats: list[Term] = []
-        if head != unwind(pat, sub_pats) or len(sub) != len(sub_pats):
+        if head.skel is not unwind(pat, sub_pats).skel or len(sub) != len(sub_pats):
             return False
         if not _match(env, sub_pats, sub, ctx, fuel, sigma):
             return False
@@ -249,17 +249,17 @@ def convert(env: GlobalEnv, a: Term, b: Term, ctx: Ctx = (), fuel: Optional[Fuel
     return _conv(env, a, b, ctx, fuel or Fuel(), {})
 
 
-# Verdicts decided within one ``convert`` call, keyed by both terms (hashed
-# structurally, compared up to alpha) and the context depth, or 0 for two
-# closed terms.  Depth stands for the context only within the call, because
+# Verdicts decided within one ``convert`` call, keyed by both terms'
+# skeletons (so up to alpha) and the context depth, or 0 for two closed
+# terms.  Depth stands for the context only within the call, because
 # ``_conv_heads`` pushes only value-less binders onto the caller's context.
 Memo = dict[tuple[Term, Term, int], bool]
 
 
 def _conv(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel, memo: Memo) -> bool:
-    if alpha_eq(a, b):
+    if a.skel is b.skel:
         return True
-    key = (a, b, len(ctx) if a.fa or b.fa else 0)
+    key = (a.skel, b.skel, len(ctx) if a.fa or b.fa else 0)
     verdict = memo.get(key)
     if verdict is not None:
         return verdict
@@ -273,7 +273,7 @@ def _conv(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel, memo: Memo) ->
         rigid = not def_a and not def_b
         # Two rigid heads, or one definition on both sides, compare their
         # arguments first to last; the definition unfolds if that fails.
-        if rigid or def_a and ha == hb:
+        if rigid or def_a and ha is hb:
             verdict = len(sa) == len(sb) and _conv_heads(env, ha, hb, ctx, fuel, memo) and all(
                 _conv(env, x, y, ctx, fuel, memo) for x, y in zip(reversed(sa), reversed(sb))
             )

@@ -14,7 +14,7 @@ from typing import Optional
 from test_terms import _ref_subst
 
 from pts_kernel.env import GlobalEnv
-from pts_kernel.terms import App, Const, Lam, Let, Term
+from pts_kernel.terms import App, Const, Lam, Let, Term, alpha_eq
 
 
 def naive_head_step(env: Optional[GlobalEnv], t: Term) -> Optional[Term]:
@@ -55,7 +55,7 @@ def is_subsequence(needles: list[Term], haystack: list[Term]) -> bool:
     it = iter(haystack)
     for needle in needles:
         for state in it:
-            if state == needle:
+            if alpha_eq(state, needle):
                 break
         else:
             return False

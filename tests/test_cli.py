@@ -318,6 +318,20 @@ def test_loop_lines_match_golden(capsys):
     assert "".join(lines) == (GOLDEN / "loop-bound-60.txt").read_text(encoding="utf-8")
 
 
+def test_loop_trace_and_check_see_states_up_to_bound_names(capsys):
+    # The rules of alpha-pins.pts turn `k (fun x => x)` into `k2 (fun y => y)`
+    # and that into `k (fun z => z)`: the loop closes on the third state, the
+    # trace row folds to `start`, and the identity folds to `idy`, although
+    # each pair of terms differs in the name of a bound variable.
+    src = str(GOLDEN / "alpha-pins.pts")
+    assert main(["loop", src, "start", "--bound", "10"]) == 0
+    assert capsys.readouterr().out == "found=true entry=1 period=2 (bound=10, steps=3)\n"
+    assert main(["trace", src, "start", "--steps", "6"]) == 0
+    assert capsys.readouterr().out == "start\nstart\nk2 idy\nstart\n"
+    assert main(["check", src]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ok    check idy : A -> A"
+
+
 def test_structured_trace_agrees_with_text(capsys):
     assert main(["trace", "simple", "bottomProof", "--steps", "4", "--format", "structured"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -513,6 +527,19 @@ def test_main_restores_the_collector_thresholds(monkeypatch, capsys, argv, statu
         gc.set_threshold(*before)
     assert seen == [(100_000, 7, 9)]  # while the command ran
     assert after == (500, 7, 9)
+
+
+def test_a_command_on_a_large_stack_runs_as_on_the_main_thread(capsys):
+    # Before Python 3.11 `main` runs each command this way; its status, its
+    # output and argparse's SystemExit come back as on the calling thread.
+    argv = ["loop", "simple", "bottomProof", "--bound", "10"]
+    assert cli._on_a_large_stack(argv) == 0
+    assert capsys.readouterr().out == "found=true entry=0 period=2 (bound=10, steps=2)\n"
+    assert cli._on_a_large_stack(["loop", "simple", "nonsense"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown term")
+    with pytest.raises(SystemExit) as raised:
+        cli._on_a_large_stack(["check", "dev.pts", "--no-such-flag"])
+    assert raised.value.code == 2
 
 
 LONG_TRACE_FLAGS = ([], ["--erase", "annotations"], ["--erase", "poly"], ["--format", "structured"])

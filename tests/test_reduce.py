@@ -281,22 +281,24 @@ def test_chain_contraction_matches_one_argument_at_a_time(t):
 #
 # ``trace`` and ``detect_loop`` walk head-def states on their own; their rows
 # must be those of iterating ``head_def_step``, hint for hint, and their
-# verdicts those of a walk keyed on the state term.
+# verdicts those of a walk keyed on the state term up to alpha-equality.
 
 
 def _ref_detect_loop(env, t, bound):
-    """Loop search by ``head_def_step``, keyed on the state term."""
-    seen, cur, prev = {t: 0}, t, t
+    """Loop search by ``head_def_step``, keyed on the state term's skeleton
+    (so up to alpha-equality)."""
+    seen, cur, prev = {t.skel: 0}, t, t.skel
     for steps in range(1, bound + 1):
         step = head_def_step(env, cur)
         if step is None:
             return LoopReport(False, 0, 0, bound, steps=steps - 1)
         cur = step[2]
-        if cur != prev:
-            if cur in seen:
-                return LoopReport(True, seen[cur], len(seen) - seen[cur], bound, steps=steps)
-            seen[cur] = len(seen)
-            prev = cur
+        key = cur.skel
+        if key is not prev:
+            if key in seen:
+                return LoopReport(True, seen[key], len(seen) - seen[key], bound, steps=steps)
+            seen[key] = len(seen)
+            prev = key
     return LoopReport(False, 0, 0, bound, steps=bound)
 
 
@@ -645,16 +647,17 @@ def _head_path_sources(draw):
 
 
 def _ref_linear_detect_loop(env, t, bound):
-    """Loop search by ``head_linear_step``, keyed on the readback term."""
-    prev = readback(t)
+    """Loop search by ``head_linear_step``, keyed on the readback term's
+    skeleton (so up to alpha-equality)."""
+    prev = readback(t).skel
     seen, cur = {prev: 0}, t
     for steps in range(1, bound + 1):
         step = head_linear_step(env, cur)
         if step is None:
             return LoopReport(False, 0, 0, bound, steps=steps - 1)
         cur = step[2]
-        obs = readback(cur)
-        if obs != prev:
+        obs = readback(cur).skel
+        if obs is not prev:
             if obs in seen:
                 return LoopReport(True, seen[obs], len(seen) - seen[obs], bound, steps=steps)
             seen[obs] = len(seen)
@@ -718,7 +721,7 @@ def test_self_reducing_state_exceeds_readback_budget():
 def test_erase_annotations_drops_domains(simple):
     t = _term("fun (x : A) => x", simple.env)
     erased = erase(t, ANNOTATIONS, simple.env)
-    assert erased == Lam("x", HOLE, Var(0))
+    assert alpha_eq(erased, Lam("x", HOLE, Var(0)))
 
 
 @pytest.mark.parametrize("mode", [ANNOTATIONS, POLY])
@@ -733,7 +736,7 @@ def test_erase_keeps_a_let(simple, mode):
 def test_erase_poly_removes_sort_binder(reynolds):
     t = _term("fun (X : #) (f : T X -> X) => f", reynolds.env)
     erased = erase(t, POLY, env=reynolds.env)
-    assert erased == Lam("f", HOLE, Var(0))
+    assert alpha_eq(erased, Lam("f", HOLE, Var(0)))
     # A variable bound above the removed binder is renumbered past it.
     env = run_program(
         "const A : *.\nconst a : A.\nconst b : A.\n"

@@ -12,6 +12,7 @@ from pts_kernel.terms import (
     STAR_T,
     Term,
     Var,
+    _reindex,
     alpha_eq,
     app,
     instantiate,
@@ -26,8 +27,40 @@ def test_alpha_eq_ignores_bound_names():
     a = Lam("x", STAR_T, Var(0, "x"))
     b = Lam("y", STAR_T, Var(0, "y"))
     assert alpha_eq(a, b)
-    assert a == b
-    assert hash(a) == hash(b)
+    assert a.skel is b.skel and a is not b
+
+
+def test_equal_structure_is_one_node():
+    a, b = Const("a"), Lam("x", STAR_T, Var(0, "x"))
+    assert App(a, b) is App(a, b)
+    assert Var(3, "y") is Var(3, "y") and Const("a") is a
+    assert Let("l", STAR_T, a, Var(0)) is Let("l", STAR_T, a, Var(0))
+    assert Pi("p", b, Var(1, "z")) is Pi("p", Lam("x", STAR_T, Var(0, "x")), Var(1, "z"))
+
+
+def test_hints_give_distinct_nodes_with_one_skeleton():
+    a = Pi("p", STAR_T, App(Var(0, "x"), Var(1, "y")))
+    b = Pi("q", STAR_T, App(Var(0, "w"), Var(1, "y")))
+    assert a is not b and a != b
+    assert a.skel is b.skel is Pi("", STAR_T, App(Var(0), Var(1)))
+    assert a.skel.skel is a.skel
+    closed = App(Const("f"), STAR_T)  # no hints: its own skeleton
+    assert closed.skel is closed
+
+
+def test_reindex_returns_closed_subterms_unwalked():
+    closed = Lam("x", STAR_T, App(Var(0, "x"), Const("c")))
+    t = App(App(Var(0, "v"), closed), Var(2, "w"))
+    calls = []
+
+    def leaf(v, c):
+        calls.append(v)
+        return Var(v.index + 1, v.hint)
+
+    out = _reindex(t, 0, leaf)
+    assert calls == [Var(0, "v"), Var(2, "w")]  # none from inside ``closed``
+    assert out.fn.arg is closed
+    assert _reindex(closed, 0, leaf) is closed and len(calls) == 2
 
 
 def test_alpha_eq_sees_domain_annotations():
@@ -165,6 +198,38 @@ def test_alpha_eq_is_hint_blind():
         a = _random_term(rng, 4, 1)
         b = _rehint(rng, a)
         assert alpha_eq(a, b)
+
+
+def _shape(t: Term):
+    """``t`` as nested tuples without its hints: equal exactly for alpha-equal terms."""
+    match t:
+        case Var(k, _):
+            return ("V", k)
+        case App(f, a):
+            return ("A", _shape(f), _shape(a))
+        case Lam(_, dom, body):
+            return ("L", _shape(dom), _shape(body))
+        case Pi(_, dom, cod):
+            return ("P", _shape(dom), _shape(cod))
+        case Let(_, ann, defn, body):
+            return ("T", _shape(ann), _shape(defn), _shape(body))
+    return repr(t)
+
+
+class _NoHints:
+    """Stands in for the ``random.Random`` of ``_rehint``: every hint it picks is ``""``."""
+
+    @staticmethod
+    def choice(_hints: str) -> str:
+        return ""
+
+
+@given(rng=st.randoms(use_true_random=False))
+def test_alpha_eq_agrees_with_rehinted_and_shaped_terms(rng):
+    a, c = _random_term(rng, 4, 2), _random_term(rng, 2, 2)
+    assert alpha_eq(a, _rehint(rng, a))
+    assert _exact(a.skel) == _exact(_rehint(_NoHints, a))
+    assert alpha_eq(a, c) == (_shape(a) == _shape(c))
 
 
 # -- re-indexing and the occurrence test against a textbook reference -------
