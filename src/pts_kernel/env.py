@@ -7,7 +7,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import DuplicateNameError, IllFormedPatternError, TypeCheckError, UNKNOWN_CONSTANT
 from .specs import PtsSpec
-from .terms import HOLE, App, Const, Lam, Let, Pi, Term, compile_template, subst, unwind
+from .terms import App, Const, Lam, Let, Pi, Term, compile_template, subst, unwind
 
 
 _set = object.__setattr__  # how a Value's __init__ writes its fields
@@ -235,8 +235,6 @@ def _unfold(t: Term, env: GlobalEnv, cache: dict[str, Term], memo: Optional[dict
         out: Term = App(_unfold(t.fn, env, cache, memo), _unfold(t.arg, env, cache, memo))
     elif cls is Const:
         name = t.name
-        if name == HOLE.name:
-            return t
         entry = env.lookup(name)
         out = cache.get(name)
         if out is None:

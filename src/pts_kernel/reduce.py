@@ -36,12 +36,13 @@ readback has its own contraction budget, and an unfolding that contracts a
 ``fun`` chain spends one unit of it.  ``head_linear_step`` is one step of a
 fresh machine.
 
-Erasure comes in two modes.  ``annotations`` drops binder annotations and
-turns type-level subterms (sorts and products in term position) into an opaque
-leaf, preserving the applicative skeleton exactly.  ``poly`` additionally
-deletes abstractions over the box/triangle sorts together with the matching
-arguments at application sites, which needs a typed environment to classify
-applications.
+Erasure is one walk in two modes.  ``annotations`` drops binder annotations
+and turns type-level subterms (sorts and products in term position) into an
+opaque leaf, preserving the applicative skeleton exactly.  ``poly`` is the
+same walk with a typing context: it also deletes abstractions over the
+box/triangle sorts, closing each deleted binder's gap by ``subst`` with the
+leaf, and the matching arguments at application sites, which it finds by
+inferring each spine's head once and carrying its type down the arguments.
 """
 from __future__ import annotations
 
@@ -65,6 +66,7 @@ from .terms import (
     Var,
     app,
     shift,
+    subst,
     unwind,
 )
 from .typecheck import BETA_CONTRACT, DELTA_UNFOLD, REWRITE_FIRE, Ctx, _head_event, contract_head
@@ -387,26 +389,22 @@ def detect_loop(
 # Type erasure
 
 
-def erase(t: Term, mode: str, env: GlobalEnv, ctx: Ctx = ()) -> Term:
-    if mode == ANNOTATIONS:
-        return _erase_annotations(t)
-    if mode == POLY:
-        return _erase_poly(env, t, ctx, [])
-    raise KernelError(f"unknown erasure mode {mode!r}")
+def erase(t: Term, mode: str, env: GlobalEnv) -> Term:
+    """``t`` after erasure in ``mode``, typed against ``env`` under ``poly``.
+
+    Both modes turn sorts and products into the opaque leaf ``HOLE`` and drop
+    binder annotations; ``poly`` also deletes each ``fun`` over a box/triangle
+    domain, closing its gap by ``subst`` so that leftover occurrences of it
+    become ``HOLE``, and each argument that such a domain would bind."""
+    return _erase(env, t, _erasure_ctx(mode))
 
 
-def _erase_annotations(t: Term) -> Term:
-    match t:
-        case SortT(_) | Pi(_, _, _):
-            return HOLE
-        case App(f, a):
-            return App(_erase_annotations(f), _erase_annotations(a))
-        case Lam(h, _, body):
-            return Lam(h, HOLE, _erase_annotations(body))
-        case Let(h, _, d, b):
-            return Let(h, HOLE, _erase_annotations(d), _erase_annotations(b))
-        case _:
-            return t
+def _erasure_ctx(mode: str) -> Optional[Ctx]:
+    """The context a walk in ``mode`` starts from: None for ``annotations``,
+    which types nothing."""
+    if mode not in ERASURE_MODES:
+        raise KernelError(f"unknown erasure mode {mode!r}")
+    return () if mode == POLY else None
 
 
 def _is_sort_domain(env: GlobalEnv, dom: Term, ctx: Ctx) -> bool:
@@ -414,37 +412,37 @@ def _is_sort_domain(env: GlobalEnv, dom: Term, ctx: Ctx) -> bool:
     return isinstance(w, SortT) and w.sort in (BOX, TRIANGLE)
 
 
-def _erase_poly(env: GlobalEnv, t: Term, ctx: Ctx, keep: list[bool]) -> Term:
-    match t:
-        case SortT(_) | Pi(_, _, _):
-            return HOLE
-        case Const(_):
-            return t
-        case Var(i, hint):
-            if i < len(keep) and not keep[i]:
-                return HOLE  # residual occurrence of a deleted binder
-            new_index = sum(1 for kept in keep[:i] if kept) + max(0, i - len(keep))
-            return Var(new_index, hint)
-        case App(f, a):
-            fty = whnf(env, infer(env, f, ctx), ctx)
-            if isinstance(fty, Pi) and _is_sort_domain(env, fty.dom, ctx):
-                return _erase_poly(env, f, ctx, keep)
-            return App(_erase_poly(env, f, ctx, keep), _erase_poly(env, a, ctx, keep))
-        case Lam(h, dom, body):
-            inner = push(ctx, h, dom)
-            if _is_sort_domain(env, dom, ctx):
-                return _erase_poly(env, body, inner, [False] + keep)
-            return Lam(h, HOLE, _erase_poly(env, body, inner, [True] + keep))
-        case Let(h, ann, d, b):
-            inner = push(ctx, h, ann, d)
-            return Let(
-                h,
-                HOLE,
-                _erase_poly(env, d, ctx, keep),
-                _erase_poly(env, b, inner, [True] + keep),
-            )
-        case _:
-            return t
+def _erase(env: GlobalEnv, t: Term, ctx: Optional[Ctx]) -> Term:
+    """The erasure walk; ``ctx`` types ``t``'s free variables, or is None in
+    ``annotations`` mode.  Under ``poly`` an application spine's head is
+    inferred once and its type carried down the arguments, innermost last."""
+    cls = type(t)
+    if cls is SortT or cls is Pi:
+        return HOLE
+    if cls is App:
+        args: list[Term] = []
+        head = unwind(t, args)
+        out = _erase(env, head, ctx)
+        ty = None if ctx is None else infer(env, head, ctx)
+        for a in reversed(args):
+            if ty is not None:
+                w = whnf(env, ty, ctx)
+                if type(w) is not Pi:
+                    infer(env, t, ctx)  # raises: the spine applies a non-function
+                ty = subst(w.cod, a)
+                if _is_sort_domain(env, w.dom, ctx):
+                    continue
+            out = App(out, _erase(env, a, ctx))
+        return out
+    if cls is Lam:
+        if ctx is None:
+            return Lam(t.hint, HOLE, _erase(env, t.body, None))
+        body = _erase(env, t.body, push(ctx, t.hint, t.dom))
+        return subst(body, HOLE) if _is_sort_domain(env, t.dom, ctx) else Lam(t.hint, HOLE, body)
+    if cls is Let:
+        inner = None if ctx is None else push(ctx, t.hint, t.ann, t.defn)
+        return Let(t.hint, HOLE, _erase(env, t.defn, ctx), _erase(env, t.body, inner))
+    return t  # constants and variables
 
 
 def erase_env(env: GlobalEnv, mode: str) -> GlobalEnv:
@@ -453,13 +451,14 @@ def erase_env(env: GlobalEnv, mode: str) -> GlobalEnv:
     The result is for reduction only: entry types are kept verbatim and are
     not meaningful in the erased world.
     """
+    ctx = _erasure_ctx(mode)
     entries = []
     for e in env.entries:
         if isinstance(e, Def):
-            entries.append(Def(e.name, e.type, erase(e.body, mode, env)))
+            entries.append(Def(e.name, e.type, _erase(env, e.body, ctx)))
         elif isinstance(e, Rewrite):
-            ctx = rule_context(env, e.lhs)[0] if mode == POLY else ()
-            entries.append(Rewrite(e.name, e.lhs, erase(e.rhs, mode, env, ctx)))
+            rule_ctx = None if ctx is None else rule_context(env, e.lhs)[0]
+            entries.append(Rewrite(e.name, e.lhs, _erase(env, e.rhs, rule_ctx)))
         else:
             entries.append(e)
     return GlobalEnv(env.spec, tuple(entries))

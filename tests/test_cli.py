@@ -307,6 +307,14 @@ def test_trace_head_linear_matches_golden_bytes(capsys, bundle, fmt, suffix):
     assert out == (GOLDEN / f"{bundle}-head-linear.{suffix}").read_text(encoding="utf-8")
 
 
+def test_trace_reynolds_poly_matches_golden_bytes(capsys):
+    # Erased rows print unfolded, and a binder that a deleted type binder
+    # separated from its namesake prints renamed, as in `fun (x' : •)`.
+    assert main(["trace", "reynolds-A", "bottomProof", "--steps", "20", "--erase", "poly"]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "reynolds-A-head-def-poly.txt").read_text(encoding="utf-8")
+
+
 def test_loop_lines_match_golden(capsys):
     lines = []
     for bundle in BUNDLE_IDS:
@@ -370,6 +378,23 @@ def test_erase_command(capsys):
     assert main(["erase", "reynolds-A", "bottomProof", "--erase", "annotations"]) == 0
     out = capsys.readouterr().out.strip()
     assert out.startswith("l₀")
+
+
+@pytest.mark.parametrize(
+    "src, report",
+    [
+        ("system nosuch.", "FAIL  system nosuch: 1:1: unknown system 'nosuch'"),
+        ("system (.", "FAIL  parse error: 1:8: expected system name"),
+        ("in.", "FAIL  parse error: 1:1: 'in' cannot start a directive"),
+        ("const X : ##.", "FAIL  const X: NoAxiom: sort ## has no axiom"),
+    ],
+    ids=["unknown-system", "system-without-name", "in-directive", "box-has-no-axiom"],
+)
+def test_check_reports_header_and_sort_errors(tmp_path, capsys, src, report):
+    f = tmp_path / "bad.pts"
+    f.write_text(src + "\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr().out == report + "\n"
 
 
 def test_list_corpus(capsys):

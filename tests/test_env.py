@@ -16,7 +16,7 @@ from pts_kernel.errors import (
 from pts_kernel.parser import build_rewrite, elaborate, parse_term_surface
 from pts_kernel.reduce import REWRITE_FIRE, head_def_step
 from pts_kernel.specs import LAMBDA_HOL, LAMBDA_U_MINUS
-from pts_kernel.terms import BOX_T, App, Const, Lam, Let, Var, alpha_eq, app
+from pts_kernel.terms import BOX_T, HOLE, App, Const, Lam, Let, Var, alpha_eq, app
 from pts_kernel.typecheck import whnf
 
 
@@ -198,6 +198,14 @@ def test_unfold_all_idempotent_on_key_terms(all_bundles):
 def test_unfold_all_keeps_declared_constants(simple):
     t = unfold_all(simple.env, Const("A"))
     assert t == Const("A")
+
+
+def test_unfold_all_rejects_the_erasure_leaf(simple):
+    # Erased terms are reduced and printed, never unfolded: the leaf names
+    # no entry, so unfolding it fails like any missing name.
+    with pytest.raises(TypeCheckError) as err:
+        unfold_all(simple.env, App(Const("l₁"), HOLE))
+    assert err.value.kind == "UnknownConstant"
 
 
 def test_unfold_all_expands_let():

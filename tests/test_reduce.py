@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from pathlib import Path
 from unittest import mock
@@ -11,9 +12,9 @@ from test_terms import FREE, _exact, _random_term, _ref_subst, spine
 
 from pts_kernel import reduce
 from pts_kernel.corpus import BUNDLE_IDS, get_bundle, run_program
-from pts_kernel.display import fold_display
-from pts_kernel.env import Decl, Def, GlobalEnv, unfold_all
-from pts_kernel.errors import KernelError
+from pts_kernel.display import fold_display, plain_display
+from pts_kernel.env import Decl, Def, GlobalEnv, Rewrite, unfold_all
+from pts_kernel.errors import KernelError, TypeCheckError
 from pts_kernel.parser import elaborate, parse_term_surface
 from pts_kernel.reduce import (
     ANNOTATIONS,
@@ -765,6 +766,41 @@ def test_erase_turns_products_into_holes(reynolds):
     assert erased_env.def_body("A") == HOLE
     p0 = erased_env.def_body("p₀")
     assert isinstance(p0, Lam) and p0.body == HOLE
+
+
+def test_erased_bodies_match_their_digest():
+    # sha256 of the plain display of every erased definition body, rule
+    # right-hand side and bottomProof, per bundle and mode; alpha_eq ignores
+    # hints, so only the bytes pin the erased binder names.
+    got = []
+    for bundle_id in BUNDLE_IDS:
+        bundle = get_bundle(bundle_id)
+        for mode in (ANNOTATIONS, POLY):
+            env = erase_env(bundle.env, mode)
+            rows = [(f"def {e.name}", e.body) for e in env.entries if isinstance(e, Def)]
+            rows += [(f"rewrite {e.name}", e.rhs) for e in env.entries if isinstance(e, Rewrite)]
+            rows.append(("bottomProof", erase(bundle.key_terms["bottomProof"], mode, bundle.env)))
+            for what, t in rows:
+                digest = hashlib.sha256(plain_display(t).encode("utf-8")).hexdigest()
+                got.append(f"{digest}  {bundle_id} {mode} {what}\n")
+    assert "".join(got) == (GOLDEN / "erase.sha256").read_text(encoding="utf-8")
+
+
+def test_erase_rejects_an_unknown_mode(simple):
+    # The mode is checked before any entry is read, so an environment with
+    # no definition or rule rejects it too.
+    for env in (run_program("").env, run_program("const A : *.\n").env, simple.env):
+        with pytest.raises(KernelError, match="unknown erasure mode 'bogus'"):
+            erase_env(env, "bogus")
+    with pytest.raises(KernelError, match="unknown erasure mode 'bogus'"):
+        erase(Const("A"), "bogus", simple.env)
+
+
+def test_poly_erasure_rejects_an_ill_typed_spine():
+    env = run_program("const A : *.\nconst a : A.\n").env
+    for t in (App(Const("a"), Const("a")), app(Const("a"), Const("a"), Const("a"))):
+        with pytest.raises(TypeCheckError, match="a has type A, not a product"):
+            erase(t, POLY, env)
 
 
 def _check_erasure_simulates_steps(env, t, mode, steps):
