@@ -25,7 +25,7 @@ from .errors import KernelError, ParseError
 from .parser import Directive, build_rewrite, elaborate, parse_program
 from .reduce import HEAD_DEF, trace
 from .specs import PRESETS, PtsSpec, with_axiom, with_rule
-from .terms import SORT_BY_TOKEN, Term
+from .terms import Term
 from .typecheck import check, convert, infer
 
 # --------------------------------------------------------------------------
@@ -109,11 +109,11 @@ def run_program(src: str, system_override: Optional[str] = None, raw: bool = Fal
                     else:
                         say(True, f"system {d.name} (overridden: {spec.name})")
                 elif d.kind == "axiom":
-                    s1, s2 = (SORT_BY_TOKEN[s] for s in d.parts)
+                    s1, s2 = d.parts
                     env = env.with_spec(with_axiom(env.spec, s1, s2))
                     say(True, f"axiom {d.parts[0]} : {d.parts[1]}")
                 else:
-                    s1, s2, s3 = (SORT_BY_TOKEN[s] for s in d.parts)
+                    s1, s2, s3 = d.parts
                     env = env.with_spec(with_rule(env.spec, s1, s2, s3))
                     say(True, f"rule {d.parts[0]} {d.parts[1]} : {d.parts[2]}")
                 continue

@@ -16,7 +16,9 @@ that the rest of the term fills, an application's atoms are read in a loop,
 and the frames close when the term ends.  Only ``( term )``, binder domains
 and ``let`` parts recurse, at two frames (``term``, ``_atom``) per level of
 parentheses.  Surface nodes are slotted classes, not dataclasses, which cost
-a third of ``pts`` start-up.
+a third of ``pts`` start-up.  Every binder, ``->`` included, is one ``SBind``
+naming the kernel constructor it elaborates to (``Lam``, ``Pi`` or ``Let``),
+and a sort reads as the kernel's ``SortT``.
 
 Directives end with a period: ``system``, ``axiom``, ``rule``, ``const``,
 ``def``, ``rewrite``, ``check``, ``conv``, ``trace``.  Comments run from
@@ -31,7 +33,7 @@ from typing import NamedTuple, Optional, Union
 
 from .env import GlobalEnv, Rewrite, Value, _set
 from .errors import ParseError, TypeCheckError
-from .terms import App, Const, Lam, Let, Pi, SORT_BY_TOKEN, SortT, Term, Var, app, shift
+from .terms import App, Const, Lam, Let, Pi, SORT_BY_TOKEN, Sort, SortT, Term, Var, app, shift
 from .typecheck import Ctx, infer, push, rule_context, whnf
 
 KEYWORDS = frozenset(
@@ -98,40 +100,20 @@ class SMeta:
         self.name, self.line, self.col = name, line, col
 
 
-class SSort:
-    __slots__ = ("token",)
-    def __init__(self, token: str) -> None:
-        self.token = token
-
-
 class SApp:
     __slots__ = ("fn", "arg")
     def __init__(self, fn: Surface, arg: Surface) -> None:
         self.fn, self.arg = fn, arg
 
 
-class SLam:
-    __slots__ = ("name", "dom", "body")
-    def __init__(self, name: str, dom: Surface, body: Surface) -> None:
-        self.name, self.dom, self.body = name, dom, body
+class SBind:
+    """A binder made by ``make``; ``defn`` is a let's, ``name`` None for an arrow."""
 
-
-class SPi:
-    __slots__ = ("name", "dom", "cod")
-    def __init__(self, name: str, dom: Surface, cod: Surface) -> None:
-        self.name, self.dom, self.cod = name, dom, cod
-
-
-class SArrow:
-    __slots__ = ("dom", "cod")
-    def __init__(self, dom: Surface, cod: Surface) -> None:
-        self.dom, self.cod = dom, cod
-
-
-class SLet:
-    __slots__ = ("name", "ann", "defn", "body")
-    def __init__(self, name: str, ann: Surface, defn: Surface, body: Surface) -> None:
-        self.name, self.ann, self.defn, self.body = name, ann, defn, body
+    __slots__ = ("make", "name", "dom", "defn", "body")
+    def __init__(
+        self, make: type, name: Optional[str], dom: Surface, defn: Optional[Surface], body: Surface
+    ) -> None:
+        self.make, self.name, self.dom, self.defn, self.body = make, name, dom, defn, body
 
 
 class SComp:
@@ -140,7 +122,7 @@ class SComp:
         self.g, self.f, self.line, self.col = g, f, line, col
 
 
-Surface = Union[SName, SMeta, SSort, SApp, SLam, SPi, SArrow, SLet, SComp]
+Surface = Union[SName, SMeta, SortT, SApp, SBind, SComp]
 
 
 class Directive(Value):
@@ -153,8 +135,8 @@ class Directive(Value):
         _set(self, "col", col)
 
 
-# Binder head -> (its frames' constructor, the token before its body)
-_BINDERS = {"fun": (SLam, "=>"), "forall": (SPi, ","), "Pi": (SPi, "->"), "let": (SLet, "in")}
+# Binder head -> (the kernel constructor it elaborates to, the token before its body)
+_BINDERS = {"fun": (Lam, "=>"), "forall": (Pi, ","), "Pi": (Pi, "->"), "let": (Let, "in")}
 
 
 class _Parser:
@@ -183,7 +165,7 @@ class _Parser:
         and after a ``∘`` only an application may follow."""
         toks = self.toks
         pos = self.pos
-        frames: list[tuple] = []  # (constructor, fields before the one the rest fills)
+        frames: list[tuple] = []  # (SComp, g, line, col) or a binder's (make, name, dom, defn)
         binder_ok = True
         while True:
             kind, text, line, col = toks[pos]
@@ -214,7 +196,7 @@ class _Parser:
                 while frames and frames[-1][0] is SComp:
                     _, g, cline, ccol = frames.pop()
                     left = SComp(g, left, cline, ccol)
-                frames.append((SArrow, left))
+                frames.append((Pi, None, left, None))
                 binder_ok = True
             else:
                 break
@@ -224,7 +206,7 @@ class _Parser:
             if frame[0] is SComp:
                 left = SComp(frame[1], left, frame[2], frame[3])
             else:
-                left = frame[0](*frame[1:], left)
+                left = SBind(*frame, left)
         return left
 
     def _binder_head(self, word: str, frames: list[tuple]) -> None:
@@ -249,7 +231,7 @@ class _Parser:
             self.expect("punct", ":")
             dom = self.term()
             self.expect("punct", ")")
-            frames.append((make, name.text, dom))
+            frames.append((make, name.text, dom, None))
             groups += 1
         if not groups:
             p = toks[self.pos]
@@ -263,7 +245,7 @@ class _Parser:
         if t.kind == "meta":
             return SMeta(t.text, t.line, t.col)
         if t.kind == "sort":
-            return SSort(t.text)
+            return SortT(SORT_BY_TOKEN[t.text])
         if t.kind == "punct" and t.text == "(":
             inner = self.term()
             self.expect("punct", ")")
@@ -278,6 +260,9 @@ class _Parser:
             out.append(self._directive())
         return out
 
+    def _sort(self) -> Sort:
+        return SORT_BY_TOKEN[self.expect("sort").text]
+
     def _directive(self) -> Directive:
         t = self.next()
         if t.kind != "kw":
@@ -289,14 +274,13 @@ class _Parser:
                 raise ParseError("expected system name", word.line, word.col)
             name = word.text
         elif kind == "axiom":
-            s1 = self.expect("sort").text
+            s1 = self._sort()
             self.expect("punct", ":")
-            parts = (s1, self.expect("sort").text)
+            parts = (s1, self._sort())
         elif kind == "rule":
-            s1 = self.expect("sort").text
-            s2 = self.expect("sort").text
+            s1, s2 = self._sort(), self._sort()
             self.expect("punct", ":")
-            parts = (s1, s2, self.expect("sort").text)
+            parts = (s1, s2, self._sort())
         elif kind in ("const", "def", "rewrite"):
             name = self.expect("name").text
             self.expect("punct", ":")
@@ -359,25 +343,21 @@ def _elab(s: Surface, env: GlobalEnv, scope: list[str], ctx: Ctx) -> Term:
         return Const(name)
     if cls is SApp:
         return App(_elab(s.fn, env, scope, ctx), _elab(s.arg, env, scope, ctx))
-    if cls is SArrow:
-        return Pi("_", _elab(s.dom, env, scope, ctx), shift(_elab(s.cod, env, scope, ctx), 1))
-    if cls is SLam or cls is SPi:
+    if cls is SBind:
         name = s.name
         d = _elab(s.dom, env, scope, ctx)
-        body = _elab(s.body if cls is SLam else s.cod, env, [name] + scope, push(ctx, name, d))
-        return (Lam if cls is SLam else Pi)(name, d, body)
-    if cls is SSort:
-        return SortT(SORT_BY_TOKEN[s.token])
+        if name is None:  # an arrow, whose codomain cannot name its binder
+            return Pi("_", d, shift(_elab(s.body, env, scope, ctx), 1))
+        dfn = None if s.defn is None else _elab(s.defn, env, scope, ctx)
+        body = _elab(s.body, env, [name] + scope, push(ctx, name, d, dfn))
+        return s.make(name, d, body) if dfn is None else Let(name, d, dfn, body)
+    if cls is SortT:
+        return s
     if cls is SMeta:
         meta_hints = [hint for hint, _, _ in ctx[len(scope):]]
         if s.name not in meta_hints:
             raise ParseError(f"metavariable ${s.name} not allowed here", s.line, s.col)
         return Var(len(scope) + meta_hints.index(s.name), s.name)
-    if cls is SLet:
-        name = s.name
-        a = _elab(s.ann, env, scope, ctx)
-        dfn = _elab(s.defn, env, scope, ctx)
-        return Let(name, a, dfn, _elab(s.body, env, [name] + scope, push(ctx, name, a, dfn)))
     g = _elab(s.g, env, scope, ctx)  # SComp
     f = _elab(s.f, env, scope, ctx)
     return _expand_composition(env, g, f, scope, ctx, s.line, s.col)

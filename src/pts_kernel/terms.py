@@ -37,19 +37,18 @@ from typing import Callable, Optional
 class Sort:
     """One of the three sorts: Star, Box or Triangle."""
 
-    __slots__ = ("rank", "token")
+    __slots__ = ("token",)
 
-    def __init__(self, rank: int, token: str) -> None:
-        self.rank = rank
+    def __init__(self, token: str) -> None:
         self.token = token
 
     def __repr__(self) -> str:
         return self.token
 
 
-STAR = Sort(0, "*")
-BOX = Sort(1, "#")
-TRIANGLE = Sort(2, "##")
+STAR = Sort("*")
+BOX = Sort("#")
+TRIANGLE = Sort("##")
 SORTS = (STAR, BOX, TRIANGLE)
 SORT_BY_TOKEN = {s.token: s for s in SORTS}
 

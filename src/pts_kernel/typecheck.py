@@ -70,15 +70,17 @@ Ctx = tuple[tuple[str, Term, Optional[Term]], ...]
 
 
 class Fuel:
-    __slots__ = ("left", "budget")
+    """A budget of head steps for the work ``what`` names."""
 
-    def __init__(self, amount: int = DEFAULT_FUEL) -> None:
-        self.left = self.budget = amount
+    __slots__ = ("left", "budget", "what")
+
+    def __init__(self, amount: int = DEFAULT_FUEL, what: str = "conversion") -> None:
+        self.left, self.budget, self.what = amount, amount, what
 
     def spend(self) -> None:
         self.left -= 1
         if self.left < 0:
-            raise TypeCheckError(FUEL_EXHAUSTED, f"conversion exceeded {self.budget} head steps")
+            raise TypeCheckError(FUEL_EXHAUSTED, f"{self.what} exceeded {self.budget} head steps")
 
 
 def push(ctx: Ctx, hint: str, ty: Term, value: Optional[Term] = None) -> Ctx:
@@ -115,7 +117,7 @@ def _head_event(
     its template if given all its parameters, else its ``fun`` body contracts
     at once; a declared constant fires its first matching rule if
     ``use_rules``.  ``fuel`` pays per unfolding, argument and rule; without it,
-    a fresh ``Fuel()`` meters only rules."""
+    a fresh ``Fuel`` meters only rule matching."""
     cls = type(head)
     if cls is Lam and stack:
         count = len(stack)
@@ -145,7 +147,9 @@ def _head_event(
                     return DELTA_UNFOLD, head.name, build_head(sigma)
                 body = contract_head(body, stack, fuel)
             return DELTA_UNFOLD, head.name, body
-        if use_rules and (fired := _try_rules(env, head.name, stack, ctx, fuel or Fuel())):
+        if use_rules and (
+            fired := _try_rules(env, head.name, stack, ctx, fuel or Fuel(what="rule matching"))
+        ):
             return REWRITE_FIRE, *fired
     return None  # sorts, products, unapplied lambdas, free variables, holes
 

@@ -32,6 +32,12 @@ def test_check_corpus_bytes_match_golden(capsys):
     assert "".join(got) == (GOLDEN / "check-corpus.sha256").read_text(encoding="utf-8")
 
 
+def test_check_binder_fixture_matches_golden_bytes(capsys):
+    # Every binder form, folded and displayed back as the printer spells it.
+    assert main(["check", str(GOLDEN / "binders.pts")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "binders.txt").read_text(encoding="utf-8")
+
+
 def test_check_lines_fold_only_names_defined_before_them(tmp_path, capsys):
     # Each line folds against its own directive's environment, although the
     # later definitions share one entry table with it and the failing last
@@ -277,6 +283,29 @@ def test_rule_reports_are_pinned(tmp_path, capsys, src, status, report):
     f.write_text(src, encoding="utf-8")
     assert main(["check", str(f)]) == status
     assert capsys.readouterr().out == report
+
+
+@pytest.mark.parametrize(
+    "argv", [["trace", "t", "--steps", "3"], ["loop", "t", "--bound", "10"]], ids=["trace", "loop"]
+)
+def test_walk_names_rule_matching_when_its_fuel_runs_out(tmp_path, capsys, argv):
+    # Matching r's rigid `i` against the looping l₀ p₀ l₂ l₁ B runs a walk's
+    # rule matching out of fuel; no conversion was asked for.
+    src = (CORPUS / "reynolds-a.pts").read_text(encoding="utf-8")
+    src = "".join(line for line in src.splitlines(True) if not line.startswith(("check ", "conv ")))
+    f = tmp_path / "looping-match.pts"
+    f.write_text(
+        src + "const B : *.\nconst i : B -> B.\nconst m : B -> B.\n"
+        "rewrite r : m (i $u) => $u.\ndef t : B := m (l₀ p₀ l₂ l₁ B).\n",
+        encoding="utf-8",
+    )
+    assert main(["check", str(f)]) == 0
+    capsys.readouterr()
+    assert main([argv[0], str(f)] + argv[1:]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "", "error: FuelExhausted: rule matching exceeded 100000 head steps\n"
+    )
 
 
 def test_check_empty_file(tmp_path, capsys):

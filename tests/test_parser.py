@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from test_terms import _exact
 
 from pts_kernel.cli import run_program
 from pts_kernel.errors import ParseError
@@ -361,3 +362,28 @@ def test_token_mutants_keep_their_reports():
         f"{_mutant_digest(name, src)}  {name}\n" for name, src in _mutant_sources().items()
     )
     assert got == (GOLDEN / "parse-mutants.sha256").read_text(encoding="utf-8")
+
+
+# -- hint-exact elaboration ----------------------------------------------------
+#
+# Round-trip tests compare terms with alpha_eq, which ignores hints, and a
+# term's repr prints an empty hint as `_`; this digest keeps every hint as it
+# is, so it also pins the `_` an arrow's binder carries.
+
+
+def test_elaboration_is_pinned_hint_for_hint():
+    # sha256 per file of every entry and judgment that run_program builds,
+    # hints included, and of the rendered report
+    got = []
+    for path in sorted(CORPUS.glob("*.pts")) + [GOLDEN / "alpha-pins.pts", GOLDEN / "binders.pts"]:
+        report = run_program(path.read_text(encoding="utf-8"))
+        assert report.ok, report.render()
+        h = hashlib.sha256()
+        for e in report.env.entries:
+            terms = [_exact(getattr(e, field)) for field in type(e).__slots__[1:]]
+            h.update(f"{type(e).__name__} {e.name} {terms!r}\n".encode())
+        for kind, a, b in report.judgments:
+            h.update(f"{kind} {_exact(a)!r} {_exact(b)!r}\n".encode())
+        h.update(report.render().encode())
+        got.append(f"{h.hexdigest()}  {path.name}\n")
+    assert "".join(got) == (GOLDEN / "elaborate.sha256").read_text(encoding="utf-8")

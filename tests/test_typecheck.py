@@ -6,11 +6,12 @@ from test_terms import spine
 
 from pts_kernel import corpus, typecheck
 from pts_kernel.cli import run_program
-from pts_kernel.env import Decl, add_entry
-from pts_kernel.errors import TypeCheckError
+from pts_kernel.env import Decl, GlobalEnv, add_entry
+from pts_kernel.errors import DuplicateNameError, KernelError, TypeCheckError
 from pts_kernel.parser import elaborate, parse_term_surface
+from pts_kernel.reduce import detect_loop, trace
 from pts_kernel.specs import LAMBDA_U_MINUS
-from pts_kernel.terms import BOX_T, Const, Lam, Pi, SortT, Var, alpha_eq, app
+from pts_kernel.terms import BOX_T, STAR_T, Const, Lam, Pi, SortT, Var, alpha_eq, app
 from pts_kernel.typecheck import Fuel, check, convert, infer, push, whnf
 
 
@@ -404,3 +405,28 @@ def test_conversion_fuel_is_pinned(monkeypatch):
         665,
         "e92d62bcb0eba3460e100f100a983771f8db87cc8c51d5c0954aa9755c122e21",
     )
+
+
+_ONE_DECL = GlobalEnv(LAMBDA_U_MINUS).extended(Decl("a", STAR_T))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _ONE_DECL.extended(Decl("a", STAR_T)), DuplicateNameError,
+         "name already defined: a"),
+        (lambda: infer(_ONE_DECL, Var(0)), TypeCheckError, "UnknownConstant: unbound variable 0"),
+        (lambda: trace(_ONE_DECL, Const("a"), "bogus"), KernelError,
+         "unknown strategy 'bogus'"),
+        (lambda: detect_loop(_ONE_DECL, Const("a"), "bogus"), KernelError,
+         "unknown strategy 'bogus'"),
+    ],
+    ids=["duplicate-name", "unbound-variable", "trace-strategy", "loop-strategy"],
+)
+def test_kernel_entry_points_reject_bad_input(call, error, message):
+    # Error paths that no file, bundle or CLI command reaches: an entry added
+    # twice without add_entry, a variable outside its context, a strategy the
+    # walks do not know.
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
