@@ -179,8 +179,8 @@ def _on_a_large_stack(argv: Optional[list[str]]) -> int:
 
 
 def _main(argv: Optional[list[str]]) -> int:
+    limit, thresholds = sys.getrecursionlimit(), gc.get_threshold()
     sys.setrecursionlimit(100_000)
-    thresholds = gc.get_threshold()
     gc.set_threshold(100_000, *thresholds[1:])  # the kernel leaves no cycles to collect
     try:
         args = _parser().parse_args(argv)
@@ -193,6 +193,7 @@ def _main(argv: Optional[list[str]]) -> int:
         return 1
     finally:
         gc.set_threshold(*thresholds)
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

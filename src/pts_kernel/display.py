@@ -16,9 +16,9 @@ have alpha-equal heads and as many arguments, so a spine of any other shape
 folds to nothing and is skipped; other closed nodes are always looked up.
 
 The printer reads terms and builds none.  ``g∘f`` and ``A -> B`` drop a
-binder that ``terms.occurs`` finds unused; ``g``, ``f`` and ``B`` print as
-they stand, in a scope whose slot for that binder is a placeholder no name
-equals.
+binder when bit 0 of the free-variable masks (``fv``) of ``g`` and ``f``, or
+of ``B``, is clear; they print as they stand, in a scope whose slot for that
+binder is a placeholder no name equals.
 
 All printing goes through one ``_Printer``: its ``render(t, prec)`` method
 prints a node, and its ``_under`` helper prints a body under a named binder.
@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 from .env import GlobalEnv, unfold_all
 from .errors import TypeCheckError
-from .terms import App, BOX, Const, Lam, Let, Pi, SortT, TRIANGLE, Term, Var, occurs, unwind
+from .terms import App, BOX, Const, Lam, Let, Pi, SortT, TRIANGLE, Term, Var, unwind
 
 Show = Callable[[Term], str]  # what ``printer`` returns
 
@@ -64,7 +64,7 @@ def match_composition(t: Term) -> Optional[tuple[Term, Term]]:
     inner = body.arg
     if not isinstance(inner.arg, Var) or inner.arg.index != 0:
         return None
-    if occurs(body.fn) or occurs(inner.fn):
+    if (body.fn.fv | inner.fn.fv) & 1:
         return None
     return body.fn, inner.fn
 
@@ -130,7 +130,7 @@ class _Printer:
             return t.sort.token
 
         cache, key = self.cache, None
-        if cache is not None and t.fa == 0:
+        if cache is not None and not t.fv:
             key = (id(t), prec, tuple(self.scope))
             hit = cache.get(key)
             if hit is not None:
@@ -143,7 +143,7 @@ class _Printer:
             comp = match_composition(t)
             if comp is not None:
                 s, level = f"{self._gone(comp[0], _APP)}∘{self._gone(comp[1], _APP)}", _COMP
-            elif t.fa == 0:
+            elif not t.fv:
                 try:
                     if type(head) is not Const or self.env.may_fold(head, len(args)):
                         s = self.env.fold_name(unfold_all(self.env, t, self.memo))
@@ -158,7 +158,7 @@ class _Printer:
             elif cls is Lam:
                 name, body_s = self._under(t.hint, t.body)
                 s, level = f"fun ({name} : {render(t.dom, _BINDER)}) => {body_s}", _BINDER
-            elif cls is Pi and not occurs(t.cod):
+            elif cls is Pi and not t.cod.fv & 1:
                 s, level = f"{render(t.dom, _COMP)} -> {self._gone(t.cod, _ARROW)}", _ARROW
             elif cls is Pi:
                 name, cod_s = self._under(t.hint, t.cod)
@@ -189,7 +189,7 @@ class _Printer:
 
     def _gone(self, t: Term, prec: int) -> str:
         """``t`` under a dropped binder; a closed ``t`` keeps its cache key."""
-        if t.fa == 0:
+        if not t.fv:
             return self.render(t, prec)
         self.scope.insert(0, _GONE)
         out = self.render(t, prec)

@@ -15,18 +15,21 @@ Each node holds ``skel``, its copy with every hint set to ``""`` (the node
 itself when it has no hints), interned like any node: two terms are
 alpha-equal exactly when their skeletons are one node, so ``alpha_eq`` is one
 ``is``, and whatever keys a table up to alpha-equality keys it by ``skel``.
-Each node also holds ``fa``, the number of dangling indices (one more than
-the largest free index).
+Each node also holds ``fv``, its free variables as a bitmask: bit ``i`` is set
+exactly when ``Var(i)`` occurs free, counting indices from that node.  A
+binder's mask is its body's shifted right by one, so whether one variable
+occurs is one bit test, and ``fa``, one more than the largest free index, is
+the mask's bit length.
 
 ``shift`` and ``instantiate`` re-index variables through one traversal,
 ``_reindex``; each gives only what a variable at or above the cutoff
 becomes.  ``instantiate`` is simultaneous substitution: it eliminates a
 whole run of binders in one pass, as a ``fun`` chain applied to its
 arguments does, and ``subst`` is its one-value case.  The traversal returns
-every subterm with no variable at or above the cutoff (``fa <= cutoff``) as
-the same object, without looking it up again.  ``compile_template`` compiles a
-definition's body once into closures that build what ``instantiate`` would
-from it.  ``occurs`` asks whether one variable occurs, by reading alone.
+every subterm with no variable at or above the cutoff (``not fv >> cutoff``)
+as the same object, without looking it up again.  ``compile_template`` compiles
+a definition's body once into closures that build what ``instantiate`` would
+from it.
 """
 
 from __future__ import annotations
@@ -58,7 +61,12 @@ _new = object.__new__
 
 
 class Term:
-    __slots__ = ("fa", "skel")
+    __slots__ = ("fv", "skel")
+
+    @property
+    def fa(self) -> int:
+        """One more than the largest free index; 0 for a closed term."""
+        return self.fv.bit_length()
 
     def __repr__(self) -> str:
         return _debug_repr(self)
@@ -73,7 +81,7 @@ class SortT(Term):
         node = _NODES.get(key)
         if node is None:
             node = _new(cls)
-            node.sort, node.fa, node.skel = sort, 0, node
+            node.sort, node.fv, node.skel = sort, 0, node
             _NODES[key] = node
         return node
 
@@ -87,7 +95,7 @@ class Var(Term):
         node = _NODES.get(key)
         if node is None:
             node = _new(cls)
-            node.index, node.hint, node.fa = index, hint, index + 1
+            node.index, node.hint, node.fv = index, hint, 1 << index
             node.skel = Var(index) if hint else node
             _NODES[key] = node
         return node
@@ -102,7 +110,7 @@ class Const(Term):
         node = _NODES.get(key)
         if node is None:
             node = _new(cls)
-            node.name, node.fa, node.skel = name, 0, node
+            node.name, node.fv, node.skel = name, 0, node
             _NODES[key] = node
         return node
 
@@ -117,7 +125,7 @@ class App(Term):
         if node is None:
             node = _new(cls)
             node.fn, node.arg = fn, arg
-            node.fa = fn.fa if fn.fa >= arg.fa else arg.fa
+            node.fv = fn.fv | arg.fv
             f, a = fn.skel, arg.skel
             node.skel = node if f is fn and a is arg else App(f, a)
             _NODES[key] = node
@@ -134,8 +142,7 @@ class Lam(Term):
         if node is None:
             node = _new(cls)
             node.hint, node.dom, node.body = hint, dom, body
-            bf = body.fa - 1
-            node.fa = dom.fa if dom.fa >= bf else bf
+            node.fv = dom.fv | body.fv >> 1
             d, b = dom.skel, body.skel
             node.skel = node if not hint and d is dom and b is body else Lam("", d, b)
             _NODES[key] = node
@@ -152,8 +159,7 @@ class Pi(Term):
         if node is None:
             node = _new(cls)
             node.hint, node.dom, node.cod = hint, dom, cod
-            cf = cod.fa - 1
-            node.fa = dom.fa if dom.fa >= cf else cf
+            node.fv = dom.fv | cod.fv >> 1
             d, c = dom.skel, cod.skel
             node.skel = node if not hint and d is dom and c is cod else Pi("", d, c)
             _NODES[key] = node
@@ -172,7 +178,7 @@ class Let(Term):
         if node is None:
             node = _new(cls)
             node.hint, node.ann, node.defn, node.body = hint, ann, defn, body
-            node.fa = max(ann.fa, defn.fa, body.fa - 1)
+            node.fv = ann.fv | defn.fv | body.fv >> 1
             a, d, b = ann.skel, defn.skel, body.skel
             same = not hint and a is ann and d is defn and b is body
             node.skel = node if same else Let("", a, d, b)
@@ -197,10 +203,10 @@ def _reindex(t: Term, cutoff: int, leaf: Callable[[Var, int], Term]) -> Term:
     """Rebuild ``t`` with each variable at or above the cutoff replaced by
     ``leaf(var, cutoff)``, the cutoff growing by one under each binder.
 
-    A subterm with no variable at or above its cutoff (``fa <= cutoff``)
+    A subterm with no variable at or above its cutoff (``not fv >> cutoff``)
     comes back as it is, unwalked: the same node its rebuild would look up.
     """
-    if t.fa <= cutoff:
+    if not t.fv >> cutoff:
         return t
     cls = type(t)
     if cls is Var:
@@ -211,7 +217,7 @@ def _reindex(t: Term, cutoff: int, leaf: Callable[[Var, int], Term]) -> Term:
         return Lam(t.hint, _reindex(t.dom, cutoff, leaf), _reindex(t.body, cutoff + 1, leaf))
     if cls is Pi:
         return Pi(t.hint, _reindex(t.dom, cutoff, leaf), _reindex(t.cod, cutoff + 1, leaf))
-    return Let(  # sorts and constants have fa == 0, so only Let is left
+    return Let(  # sorts and constants are closed, so only Let is left
         t.hint,
         _reindex(t.ann, cutoff, leaf),
         _reindex(t.defn, cutoff, leaf),
@@ -221,31 +227,9 @@ def _reindex(t: Term, cutoff: int, leaf: Callable[[Var, int], Term]) -> Term:
 
 def shift(t: Term, by: int) -> Term:
     """Shift dangling indices by ``by``."""
-    if by == 0 or t.fa == 0:
+    if by == 0 or not t.fv:
         return t
     return _reindex(t, 0, lambda v, c: Var(v.index + by, v.hint))
-
-
-def occurs(t: Term, i: int = 0) -> bool:
-    """Whether ``Var(i)`` occurs in ``t``, the index growing by one under each
-    binder.  Reads the term and builds nothing."""
-    while t.fa > i:  # below that, no variable reaches i
-        cls = type(t)
-        if cls is Var:
-            return t.index == i
-        if cls is App:
-            if occurs(t.arg, i):
-                return True
-            t = t.fn
-            continue
-        if cls is Let:
-            if occurs(t.ann, i) or occurs(t.defn, i):
-                return True
-        elif occurs(t.dom, i):  # Lam or Pi
-            return True
-        t = t.cod if cls is Pi else t.body
-        i += 1
-    return False
 
 
 def instantiate(t: Term, sigma: list[Term], depth: int = 0) -> Term:
@@ -257,7 +241,7 @@ def instantiate(t: Term, sigma: list[Term], depth: int = 0) -> Term:
     ``instantiate(M, [ak, .., a0])``; a rule right-hand side reads only its
     metavariable assignment.
     """
-    if t.fa <= depth:  # nothing to replace: skip building the leaf
+    if not t.fv >> depth:  # nothing to replace: skip building the leaf
         return t
     n = len(sigma)
 
@@ -278,7 +262,7 @@ def compile_template(body: Term) -> tuple[int, Optional[tuple[Callable, list[Cal
     if not n or type(body) is not App:
         return n, None
     args = []
-    while type(body) is App and body.fa:
+    while type(body) is App and body.fv:
         args.append(_build(body.arg, n, 0))
         body = body.fn
     return n, (_build(body, n, 0), args)
@@ -286,7 +270,7 @@ def compile_template(body: Term) -> tuple[int, Optional[tuple[Callable, list[Cal
 
 def _build(t: Term, n: int, c: int) -> Callable[[list[Term]], Term]:
     """``instantiate(t, σ, c)`` as a closure over a ``σ`` of length ``n``."""
-    if t.fa <= c:
+    if not t.fv >> c:
         return lambda s: t
     cls = type(t)
     if cls is Var and (i := t.index - c) < n:
@@ -326,7 +310,7 @@ def _debug_repr(t: Term) -> str:
         case SortT(s):
             return s.token
         case Var(k, hint):
-            return f"{hint or '_'}@{k}"
+            return f"{hint}@{k}"
         case Const(name):
             return name
         case App(_, _):
@@ -334,9 +318,9 @@ def _debug_repr(t: Term) -> str:
             head = unwind(t, args)
             return f"({' '.join(map(_debug_repr, [head, *reversed(args)]))})"
         case Lam(h, dom, body):
-            return f"(\\{h or '_'}:{_debug_repr(dom)}. {_debug_repr(body)})"
+            return f"(\\{h}:{_debug_repr(dom)}. {_debug_repr(body)})"
         case Pi(h, dom, cod):
-            return f"(Pi {h or '_'}:{_debug_repr(dom)}. {_debug_repr(cod)})"
+            return f"(Pi {h}:{_debug_repr(dom)}. {_debug_repr(cod)})"
         case Let(h, ann, d, b):
-            return f"(let {h or '_'}:{_debug_repr(ann)}={_debug_repr(d)} in {_debug_repr(b)})"
+            return f"(let {h}:{_debug_repr(ann)}={_debug_repr(d)} in {_debug_repr(b)})"
     return object.__repr__(t)

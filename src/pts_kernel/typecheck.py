@@ -263,7 +263,7 @@ Memo = dict[tuple[Term, Term, int], bool]
 def _conv(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel, memo: Memo) -> bool:
     if a.skel is b.skel:
         return True
-    key = (a.skel, b.skel, len(ctx) if a.fa or b.fa else 0)
+    key = (a.skel, b.skel, len(ctx) if a.fv or b.fv else 0)
     verdict = memo.get(key)
     if verdict is not None:
         return verdict
@@ -472,7 +472,7 @@ def _type_pattern(
         if type(parg) is Var:
             if slots[parg.index] is not None:
                 raise IllFormedPatternError(f"metavariable ${parg.hint} occurs twice")
-            if tyw.dom.fa != 0:
+            if tyw.dom.fv:
                 raise IllFormedPatternError(
                     f"type of ${parg.hint} depends on earlier pattern arguments"
                 )

@@ -564,11 +564,16 @@ def test_commands_leave_no_reference_cycles(tmp_path, capsys):
     ids=["ok", "kernel-error", "bad-flag"],
 )
 def test_main_restores_the_collector_thresholds(monkeypatch, capsys, argv, status):
+    # ... and the recursion limit: both are the caller's again however the
+    # command ends.
     seen = []
     real = cli._parser
-    monkeypatch.setattr(cli, "_parser", lambda: seen.append(gc.get_threshold()) or real())
-    before = gc.get_threshold()
+    monkeypatch.setattr(
+        cli, "_parser", lambda: seen.append((gc.get_threshold(), sys.getrecursionlimit())) or real()
+    )
+    before, limit = gc.get_threshold(), sys.getrecursionlimit()
     gc.set_threshold(500, 7, 9)
+    sys.setrecursionlimit(20_000)
     try:
         if status == 2:
             with pytest.raises(SystemExit) as raised:
@@ -576,11 +581,12 @@ def test_main_restores_the_collector_thresholds(monkeypatch, capsys, argv, statu
             assert raised.value.code == 2
         else:
             assert main(argv) == status
-        after = gc.get_threshold()
+        after = gc.get_threshold(), sys.getrecursionlimit()
     finally:
         gc.set_threshold(*before)
-    assert seen == [(100_000, 7, 9)]  # while the command ran
-    assert after == (500, 7, 9)
+        sys.setrecursionlimit(limit)
+    assert seen == [((100_000, 7, 9), 100_000)]  # while the command ran
+    assert after == ((500, 7, 9), 20_000)
 
 
 def test_a_command_on_a_large_stack_runs_as_on_the_main_thread(capsys):

@@ -100,6 +100,18 @@ def test_open_compositions_and_arrows_print_exactly(refined):
             "A -> ?1∘δ",
             "A -> (fun (x : A) => ?2 (δ x))",
         ),
+        # The binder occurs only under a nested binder, one index higher there.
+        (
+            Lam("x", A, App(Lam("y", A, Var(1, "x")), App(delta, Var(0, "x")))),
+            "fun (x : A) => (fun (y : A) => x) (δ x)",
+            None,
+        ),
+        (Pi("x", A, Pi("_", A, App(p0, Var(1, "x")))), "forall (x : A), A -> p₀ x", None),
+        (
+            Lam("x", A, App(p0, App(Lam("y", A, App(Var(1, "x"), Var(0, "y"))), Var(0, "x")))),
+            "fun (x : A) => p₀ ((fun (y : A) => x y) x)",
+            None,
+        ),
     ]
     for t, folded, plain in cases:
         plain = plain or folded

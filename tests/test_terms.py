@@ -16,7 +16,6 @@ from pts_kernel.terms import (
     alpha_eq,
     app,
     instantiate,
-    occurs,
     shift,
     subst,
     unwind,
@@ -107,6 +106,13 @@ def test_shift_is_identity_on_closed_terms():
 def test_debug_repr_prints_an_application_flat():
     t = app(Const("f"), Const("a"), App(Lam("y", STAR_T, Var(0, "y")), Var(2, "x")))
     assert repr(t) == "(f a ((\\y:*. y@0) x@2))"
+
+
+def test_debug_repr_prints_each_hint_as_it_is():
+    # An empty hint and the hint "_" make different nodes, and print apart.
+    assert repr(Pi("", STAR_T, STAR_T)) == "(Pi :*. *)"
+    assert repr(Pi("_", STAR_T, STAR_T)) == "(Pi _:*. *)"
+    assert (repr(Var(0, "")), repr(Var(0, "_"))) == ("@0", "_@0")
 
 
 def test_unwind_roundtrip():
@@ -232,7 +238,7 @@ def test_alpha_eq_agrees_with_rehinted_and_shaped_terms(rng):
     assert alpha_eq(a, c) == (_shape(a) == _shape(c))
 
 
-# -- re-indexing and the occurrence test against a textbook reference -------
+# -- re-indexing and the free-variable mask against a textbook reference -----
 #
 # The reference rebuilds every node, like ``tmmap`` in Pierce's *Types and
 # Programming Languages* (section 6.2): no ``fa`` fast path, no sharing.
@@ -362,9 +368,28 @@ def test_subst_matches_reference(t, value):
     _assert_shares(t, out, 0)
 
 
-@given(t=_terms, cutoff=_cutoffs)
-def test_occurs_matches_reference(t, cutoff):
-    assert occurs(t, cutoff) == _ref_occurs(t, cutoff)
+def _subterms(t: Term):
+    yield t
+    for u, _ in _parts(t, 0):
+        yield from _subterms(u)
+
+
+@given(t=_terms)
+def test_free_variable_mask_matches_reference(t):
+    # Bit c of a node's mask is whether Var(c) occurs free in it, and ``fa``
+    # is one more than its largest free index (0 when it is closed).
+    for u in _subterms(t):
+        free: list[int] = []
+
+        def on_var(v: Var, c: int) -> Term:
+            if v.index >= c:
+                free.append(v.index - c)
+            return v
+
+        _ref_map(u, 0, on_var)
+        assert u.fa == max(free, default=-1) + 1
+        for c in range(u.fa + 2):
+            assert u.fv >> c & 1 == _ref_occurs(u, c)
 
 
 @given(t=_terms, sigma=st.lists(_values, max_size=FREE), depth=_cutoffs)
