@@ -1,17 +1,16 @@
 """Command-line frontend: check developments, emit traces, erase, find loops.
 
-Exit status is 0 exactly when no error was reported, which is the contract CI
-relies on.  Text-format traces print one folded display per line and are the
-byte-exact surface golden files bind to.
+Exit status is 0 exactly when no error was reported, 1 when one was, and 2 for
+a malformed command line; CI relies on it.  Text-format traces print one
+folded display per line and are the byte-exact surface golden files bind to.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import gc
 import sys
-from typing import Optional
+from types import SimpleNamespace
+from typing import NoReturn, Optional
 
 from .corpus import BUNDLE_IDS, get_bundle, read_source, run_file, run_program
 from .display import plain_display
@@ -26,7 +25,7 @@ from .terms import Const, Term
 # Target resolution: a bundle id or a development file
 
 
-def _load_target(args: argparse.Namespace) -> tuple[GlobalEnv, Term]:
+def _load_target(args: SimpleNamespace) -> tuple[GlobalEnv, Term]:
     """The environment of ``args.target``, a bundle or a file, and its term ``args.term``."""
     if args.target in BUNDLE_IDS:
         bundle = get_bundle(args.target)
@@ -50,14 +49,14 @@ def _require_count(flag: str, value: int) -> None:
 # Commands
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     src = read_source(args.file)
     report = run_program(src, args.system, raw=args.raw)
     print(report.render())
     return 0 if report.ok else 1
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace(args: SimpleNamespace) -> int:
     _require_count("--steps", args.steps)
     env, t = _load_target(args)
     tr = trace(env, t, args.strategy, args.steps, mode=args.erase)
@@ -75,13 +74,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_erase(args: argparse.Namespace) -> int:
+def cmd_erase(args: SimpleNamespace) -> int:
     env, t = _load_target(args)
     print(plain_display(erase(t, args.erase, env)))
     return 0
 
 
-def cmd_loop(args: argparse.Namespace) -> int:
+def cmd_loop(args: SimpleNamespace) -> int:
     _require_count("--bound", args.bound)
     env, t = _load_target(args)
     report = detect_loop(env, t, args.strategy, args.bound, mode=args.erase)
@@ -90,7 +89,7 @@ def cmd_loop(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_list_corpus(_args: argparse.Namespace) -> int:
+def cmd_list_corpus(_args: SimpleNamespace) -> int:
     for id in BUNDLE_IDS:
         bundle = get_bundle(id)
         terms = ", ".join(sorted(bundle.key_terms))
@@ -98,50 +97,70 @@ def cmd_list_corpus(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("target", help="bundle id or development file")
-    p.add_argument("term", help="key term (bundle) or constant name (file)")
-    p.add_argument("--system", choices=sorted(PRESETS), default=None)
+_SYSTEM = ("system", tuple(sorted(PRESETS)), None, False)
+_REDUCE = (("strategy", STRATEGIES, HEAD_DEF, False), ("erase", ERASURE_MODES, None, False))
+# command: (handler, positionals, flags); a flag is (name, choices | int | bool, default, required)
+_COMMANDS = {
+    "check": (cmd_check, ("file",), (_SYSTEM, ("raw", bool, False, False))),
+    "trace": (cmd_trace, ("target", "term"), (_SYSTEM, *_REDUCE, ("steps", int, 50, False),
+                                              ("format", ("text", "structured"), "text", False))),
+    "erase": (cmd_erase, ("target", "term"), (_SYSTEM, ("erase", ERASURE_MODES, None, True))),
+    "loop": (cmd_loop, ("target", "term"), (_SYSTEM, *_REDUCE, ("bound", int, 1000, False))),
+    "list-corpus": (cmd_list_corpus, (), ()),
+}
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call to ``main``."""
-    parser = argparse.ArgumentParser(
-        prog="pts",
-        description="PTS proof checker with definitions, rewrite rules, and reduction traces",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _exit(error: str = "") -> NoReturn:
+    """Print the usage and exit 0, or with ``error`` print both to stderr and exit 2."""
+    lines = []
+    for command, (_, names, flags) in _COMMANDS.items():
+        words = [command, *map(str.upper, names)]
+        for name, kind, _, required in flags:
+            value = "" if kind is bool else " N" if kind is int else f" {{{','.join(kind)}}}"
+            words.append(f"--{name}{value}" if required else f"[--{name}{value}]")
+        lines.append(" ".join(words))
+    usage = "usage: pts " + "\n       pts ".join([*lines, "-h | --help"])
+    print(usage + (error and f"\npts: error: {error}"), file=sys.stderr if error else sys.stdout)
+    raise SystemExit(2 if error else 0)
 
-    p = sub.add_parser("check", help="type-check a development file")
-    p.add_argument("file")
-    p.add_argument("--system", choices=sorted(PRESETS), default=None)
-    p.add_argument("--raw", action="store_true", help="render judgments fully unfolded")
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("trace", help="emit a head-reduction trace")
-    _add_common(p)
-    p.add_argument("--strategy", choices=STRATEGIES, default=HEAD_DEF)
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--format", choices=("text", "structured"), default="text")
-    p.add_argument("--erase", choices=ERASURE_MODES, default=None)
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("erase", help="print a term after type erasure")
-    _add_common(p)
-    p.add_argument("--erase", choices=ERASURE_MODES, required=True)
-    p.set_defaults(fn=cmd_erase)
-
-    p = sub.add_parser("loop", help="search for a repeated reduction state")
-    _add_common(p)
-    p.add_argument("--strategy", choices=STRATEGIES, default=HEAD_DEF)
-    p.add_argument("--bound", type=int, default=1000)
-    p.add_argument("--erase", choices=ERASURE_MODES, default=None)
-    p.set_defaults(fn=cmd_loop)
-
-    p = sub.add_parser("list-corpus", help="list shipped paradox bundles")
-    p.set_defaults(fn=cmd_list_corpus)
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """``argv`` read against ``_COMMANDS``: the handler as ``fn`` and each
+    positional and flag by name.  ``-h`` or a malformed line exits in ``_exit``."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else ""
+    handler, names, flags = _COMMANDS.get(command, (None, ("command",), ()))
+    values = {name: default for name, _, default, required in flags if not required}
+    positionals, args = [], iter(argv[1 if command else 0:])
+    for arg in args:
+        if arg == "--":
+            positionals += args
+        elif arg in ("-h", "--help"):
+            _exit()
+        elif arg.startswith("-") and arg != "-" and not arg[1:].isdecimal():
+            prefix, eq, value = arg.partition("=")
+            match = [flag for flag in flags if f"--{flag[0]}".startswith(prefix)]
+            if len(match) != 1:
+                _exit(f"{'ambiguous' if match else 'unrecognized'} option {arg}")
+            [(name, kind, _, _)] = match
+            if kind is bool:
+                value = True if not eq else _exit(f"--{name} takes no value")
+            elif not eq and (value := next(args, None)) is None:
+                _exit(f"--{name} expects a value")
+            elif kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _exit(f"--{name} expects an integer, not {value!r}")
+            elif value not in kind:
+                _exit(f"--{name} expects one of {', '.join(kind)}, not {value!r}")
+            values[name] = value
+        else:
+            positionals.append(arg)
+    if not command or len(positionals) != len(names):
+        _exit(f"expected {' '.join(names).upper() or 'no arguments'}, not {positionals}")
+    if missing := [f"--{flag[0]}" for flag in flags if flag[0] not in values]:
+        _exit(f"{command} requires {', '.join(missing)}")
+    return SimpleNamespace(command=command, fn=handler, **dict(zip(names, positionals)), **values)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -183,7 +202,7 @@ def _main(argv: Optional[list[str]]) -> int:
     sys.setrecursionlimit(100_000)
     gc.set_threshold(100_000, *thresholds[1:])  # the kernel leaves no cycles to collect
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
     except (KernelError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -173,9 +173,9 @@ def _resolve_system(d: Directive) -> PtsSpec:
 
 
 def read_source(path: str | Path) -> str:
-    """The text of a development file; a ``KernelError`` if it is not UTF-8."""
+    """The text of a development file less a leading U+FEFF; a ``KernelError`` if not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as err:
         raise KernelError(f"{path} is not UTF-8 (byte {err.start})") from None
 

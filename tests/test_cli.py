@@ -115,6 +115,49 @@ def test_zero_counts_are_allowed(capsys):
     assert capsys.readouterr().out == "l₂ p₀ l₂ l₁\n"
 
 
+SIMPLE = ["simple", "bottomProof"]
+
+
+@pytest.mark.parametrize(
+    "argv, outcome",
+    [
+        # A malformed command line: status 2, the usage on stderr, nothing on stdout.
+        ([], 2),
+        (["bogus"], 2),
+        (["check"], 2),
+        (["check", "a", "b"], 2),
+        (["check", "x", "--no-such-flag"], 2),
+        (["loop", *SIMPLE, "--strategy", "bogus"], 2),
+        (["trace", *SIMPLE, "--steps", "x"], 2),
+        (["trace", *SIMPLE, "--steps"], 2),
+        (["loop", *SIMPLE, "--s", "3"], 2),  # --system or --strategy
+        (["erase", *SIMPLE], 2),  # --erase is required
+        # A request for help: status 0, the usage on stdout.
+        (["-h"], 0),
+        (["--help"], 0),
+        (["trace", "-h"], 0),
+        # Other spellings of a valid command line print what the plain one prints.
+        (["loop", *SIMPLE, "--bound=3"], ["loop", *SIMPLE, "--bound", "3"]),
+        (["loop", "--bound", "3", *SIMPLE], ["loop", *SIMPLE, "--bound", "3"]),
+        (["loop", *SIMPLE, "--bou", "3"], ["loop", *SIMPLE, "--bound", "3"]),
+        (["check", "--", str(CORPUS / "simple.pts")], ["check", str(CORPUS / "simple.pts")]),
+    ],
+)
+def test_command_line_forms(capsys, argv, outcome):
+    if isinstance(outcome, list):
+        got = main(argv), capsys.readouterr()
+        assert got == (main(outcome), capsys.readouterr())
+        return
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert raised.value.code == outcome
+    if outcome:
+        assert out == "" and err.startswith("usage: pts")
+    else:
+        assert out.startswith("usage: pts") and err == ""
+
+
 def _check_nested(tmp_path, depth):
     """`pts check`, in a child process, of `check f (… (f a) …) : A` nested `depth` deep."""
     f = tmp_path / "deep.pts"
@@ -486,6 +529,21 @@ def test_a_file_that_is_not_utf8_is_refused_without_traceback(tmp_path, capsys, 
     assert captured.err == f"error: {f} is not UTF-8 (byte 0)\n"
 
 
+def test_a_byte_order_mark_is_not_part_of_the_text(tmp_path, capsys):
+    plain, marked, bad = (tmp_path / n for n in ("plain.pts", "marked.pts", "bad.pts"))
+    text = b"const A : *.\nconst a : A.\ncheck a : A.\n"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    bad.write_bytes(b"\xef\xbb\xbf" + text + b"\xff")
+    assert main(["check", str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert main(["check", str(marked)]) == 0
+    assert capsys.readouterr() == expected
+    # The offset of a bad byte counts the mark's three bytes.
+    assert main(["check", str(bad)]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad} is not UTF-8 (byte {3 + len(text)})\n")
+
+
 def test_a_superscript_digit_is_not_a_number(tmp_path, capsys):
     # `str.isdigit` holds for "²", but `int` reads only decimal digits.
     f = tmp_path / "sup.pts"
@@ -536,7 +594,6 @@ def test_commands_leave_no_reference_cycles(tmp_path, capsys):
         for flags in ([], ["--erase", "annotations"], ["--erase", "poly"]):
             argv = ["loop", "simple", "bottomProof", "--bound", "100", "--strategy", strategy]
             runs.append(([*argv, *flags], 0))
-    cli._parser()  # argparse's parser holds cycles; it is built once per process
     left, debug = {}, gc.get_debug()
     gc.collect()
     gc.set_debug(debug | gc.DEBUG_SAVEALL)
@@ -559,7 +616,7 @@ def test_commands_leave_no_reference_cycles(tmp_path, capsys):
     [
         (["check", str(CORPUS / "simple.pts")], 0),
         (["loop", "simple", "nonsense"], 1),  # a KernelError
-        (["check", "dev.pts", "--no-such-flag"], 2),  # argparse's SystemExit
+        (["check", "dev.pts", "--no-such-flag"], 2),  # a malformed command line
     ],
     ids=["ok", "kernel-error", "bad-flag"],
 )
@@ -567,9 +624,10 @@ def test_main_restores_the_collector_thresholds(monkeypatch, capsys, argv, statu
     # ... and the recursion limit: both are the caller's again however the
     # command ends.
     seen = []
-    real = cli._parser
+    real = cli._parse
     monkeypatch.setattr(
-        cli, "_parser", lambda: seen.append((gc.get_threshold(), sys.getrecursionlimit())) or real()
+        cli, "_parse",
+        lambda argv: seen.append((gc.get_threshold(), sys.getrecursionlimit())) or real(argv),
     )
     before, limit = gc.get_threshold(), sys.getrecursionlimit()
     gc.set_threshold(500, 7, 9)
@@ -591,7 +649,8 @@ def test_main_restores_the_collector_thresholds(monkeypatch, capsys, argv, statu
 
 def test_a_command_on_a_large_stack_runs_as_on_the_main_thread(capsys):
     # Before Python 3.11 `main` runs each command this way; its status, its
-    # output and argparse's SystemExit come back as on the calling thread.
+    # output and the SystemExit of a malformed command line come back as on
+    # the calling thread.
     argv = ["loop", "simple", "bottomProof", "--bound", "10"]
     assert cli._on_a_large_stack(argv) == 0
     assert capsys.readouterr().out == "found=true entry=0 period=2 (bound=10, steps=2)\n"

@@ -83,12 +83,14 @@ def test_mutable_defaults_are_fresh_per_instance():
 
 def test_start_up_loads_no_record_machinery():
     # `dataclasses` alone pulls `inspect`, `ast` and `dis` into every `pts` start-up;
-    # `json` serves only structured traces, which import it themselves.
+    # `json` serves only structured traces, which import it themselves, and
+    # `argparse` (with `gettext`) costs a command more than reading its argv does.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, pts_kernel, pts_kernel.cli\n"
-        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'json') if m in sys.modules])"
+        "banned = ('dataclasses', 'inspect', 'ast', 'dis', 'json', 'argparse', 'gettext')\n"
+        "print(*[m for m in banned if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
