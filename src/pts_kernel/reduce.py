@@ -32,9 +32,10 @@ headed by ``c`` is a head-def event on that stack (by ``c``'s template when
 it gets all its parameters), after which the readback's contractions go on
 from the result.  Otherwise (an unapplied ``fun`` on the path, or a readback
 whose head is not ``c``) it reads back the rebuilt state in full.  Each
-readback has its own contraction budget, and an unfolding that contracts a
-``fun`` chain spends one unit of it.  ``head_linear_step`` is one step of a
-fresh machine.
+readback has its own contraction budget, and an unfolding whose event's
+price is above 1, one that contracted a ``fun`` chain, spends one unit of it.
+``head_linear_step`` is one step of a fresh machine.  Walks pay no fuel and
+ignore the price; each event's rule matching has its own budget.
 
 Erasure is one walk in two modes.  ``annotations`` drops binder annotations
 and turns type-level subterms (sorts and products in term position) into an
@@ -210,9 +211,8 @@ class _LinearMachine:
             head, self._key = key[0], None
             if not self.open and type(head) is Const and head.name == self.name:
                 stack = list(key[1:])
-                spent = 1 if type(new) is Lam and stack else 0
-                head = unwind(_head_event(self.env, head, stack)[2], stack)
-                self._key = (_contract(head, stack, spent)[0], *stack)
+                _, _, head, price = _head_event(self.env, head, stack)
+                self._key = (_contract(unwind(head, stack), stack, price > 1)[0], *stack)
         return kind
 
     def key(self) -> tuple:
@@ -320,7 +320,7 @@ def _walk(
             event = _head_event(env, head, stack)
             if event is None:
                 return
-            kind, detail, new = event
+            kind, detail, new, _ = event
             result = (kind, str(detail), app(new, *reversed(stack))) if rows else (kind, None, None)
             head = unwind(new, stack)
             key = (head, *stack)

@@ -3,11 +3,13 @@
 Conversion is beta (contraction), delta (transparent definitions, global and
 let-bound alike), and rho (declared rewrite rules fired at the head).  Each
 head step is one ``_head_event`` on a head and its argument stack, shared with
-``reduce``; a definition given all its parameters unfolds by its template.
-Conversion and rule matching hold each side as such a head and stack, across
-unfoldings, with lazy delta: two rigid heads, or one defined constant on both
-sides, compare their arguments once, and a defined head unfolds only when that
-fails or when the heads differ.
+``reduce``; a definition given all its parameters unfolds by its template.  An
+event states its price, one unit per argument consumed and per unfolding or
+rule fired: ``whnf`` and conversion pay it from their ``Fuel`` at one site
+each, and ``reduce``'s walks ignore it.  Conversion and rule matching hold each
+side as such a head and stack, across unfoldings, with lazy delta: two rigid
+heads, or one defined constant on both sides, compare their arguments once,
+and a defined head unfolds only when that fails or when the heads differ.
 
 One ``convert`` call memoizes every sub-problem it decides, true or false, so
 an argument comparison that failed before an unfolding is not solved again
@@ -77,9 +79,11 @@ class Fuel:
     def __init__(self, amount: int = DEFAULT_FUEL, what: str = "conversion") -> None:
         self.left, self.budget, self.what = amount, amount, what
 
-    def spend(self) -> None:
-        self.left -= 1
+    def spend(self, units: int = 1) -> None:
+        """Pay ``units`` at once; refuse a payment past the budget, leaving ``left`` at -1."""
+        self.left -= units
         if self.left < 0:
+            self.left = -1
             raise TypeCheckError(FUEL_EXHAUSTED, f"{self.what} exceeded {self.budget} head steps")
 
 
@@ -108,49 +112,47 @@ def _head_event(
     fuel: Optional[Fuel] = None,
     lazy_defs: bool = False,
     use_rules: bool = True,
-) -> Optional[tuple[str, str | int, Term]]:
+) -> Optional[tuple[str, str | int, Term, int]]:
     """One head event on ``head`` applied to ``stack`` (innermost argument
-    last), popping the arguments it consumes: ``(kind, detail, result)``, or
-    None when the head is normal.  A ``fun`` chain contracts (detail: the
-    arguments consumed); a ``let``, or a variable with a value in ``ctx``,
-    unfolds under its hint; a defined constant unfolds unless ``lazy_defs``, by
-    its template if given all its parameters, else its ``fun`` body contracts
-    at once; a declared constant fires its first matching rule if
-    ``use_rules``.  ``fuel`` pays per unfolding, argument and rule; without it,
-    a fresh ``Fuel`` meters only rule matching."""
+    last), popping the arguments it consumes: ``(kind, detail, result,
+    price)``, or None when the head is normal.  A ``fun`` chain contracts
+    (detail: the arguments consumed); a ``let``, or a variable with a value in
+    ``ctx``, unfolds under its hint; a defined constant unfolds unless
+    ``lazy_defs``, by its template if given all its parameters, else its
+    ``fun`` body contracts at once; a declared constant fires its first
+    matching rule if ``use_rules``.  The price, one unit per argument consumed
+    and per unfolding or rule fired, is at least 1 (``whnf`` relies on this)
+    and is the caller's to pay; rule matching alone pays as it goes, from
+    ``fuel`` or else from a fresh ``Fuel`` of its own."""
     cls = type(head)
     if cls is Lam and stack:
         count = len(stack)
-        new = contract_head(head, stack, fuel)
-        return BETA_CONTRACT, count - len(stack), new
+        new = contract_head(head, stack)
+        count -= len(stack)
+        return BETA_CONTRACT, count, new, count
     if cls is Let:
-        return DELTA_UNFOLD, head.hint, contract_head(head, stack, fuel)
+        return DELTA_UNFOLD, head.hint, contract_head(head, stack), 1
     if cls is Var and head.index < len(ctx) and (value := ctx_value(ctx, head.index)) is not None:
-        if fuel is not None:
-            fuel.spend()
-        return DELTA_UNFOLD, ctx[head.index][0], value
+        return DELTA_UNFOLD, ctx[head.index][0], value, 1
     if cls is Const:
         body = env.def_body(head.name)
         if body is not None:
             if lazy_defs:
                 return None
-            if fuel is not None:
-                fuel.spend()
-            if type(body) is Lam:
-                n, pieces = env.template(head.name)
-                if pieces is not None and len(stack) >= n:
-                    if fuel is not None:
-                        for _ in range(n):
-                            fuel.spend()
-                    sigma, (build_head, build_args) = stack[-n:], pieces
-                    stack[-n:] = [build(sigma) for build in build_args]
-                    return DELTA_UNFOLD, head.name, build_head(sigma)
-                body = contract_head(body, stack, fuel)
-            return DELTA_UNFOLD, head.name, body
+            if type(body) is not Lam:
+                return DELTA_UNFOLD, head.name, body, 1
+            n, pieces = env.template(head.name)
+            if pieces is not None and len(stack) >= n:
+                sigma, (build_head, build_args) = stack[-n:], pieces
+                stack[-n:] = [build(sigma) for build in build_args]
+                return DELTA_UNFOLD, head.name, build_head(sigma), n + 1
+            count = len(stack)
+            body = contract_head(body, stack)
+            return DELTA_UNFOLD, head.name, body, count - len(stack) + 1
         if use_rules and (
             fired := _try_rules(env, head.name, stack, ctx, fuel or Fuel(what="rule matching"))
         ):
-            return REWRITE_FIRE, *fired
+            return REWRITE_FIRE, *fired, 1
     return None  # sorts, products, unapplied lambdas, free variables, holes
 
 
@@ -163,28 +165,24 @@ def _head_normal(
     lazy_defs: bool,
     use_rules: bool = True,
 ) -> Term:
-    """Apply ``_head_event`` until none fires; the head, its arguments left on ``stack``."""
+    """Apply and pay for ``_head_event`` until none fires; the head, its arguments on ``stack``."""
     while (event := _head_event(env, head, stack, ctx, fuel, lazy_defs, use_rules)) is not None:
+        fuel.spend(event[3])
         head = unwind(event[2], stack)
     return head
 
 
-def contract_head(t: Term, stack: list[Term], fuel: Optional[Fuel] = None) -> Term:
+def contract_head(t: Term, stack: list[Term]) -> Term:
     """Contract the redex ``t``, a ``let`` or a ``fun`` applied to ``stack``
     (innermost argument last), and return the result: every contraction but a
     definition built from its template.  A ``let`` substitutes its definition;
     a ``fun`` chain pops the arguments it binds into one ``instantiate`` pass,
-    going on while the result is a ``fun`` and arguments remain.  ``fuel``, if
-    any, pays once per ``let`` and per argument, first."""
+    going on while the result is a ``fun`` and arguments remain."""
     if type(t) is Let:
-        if fuel is not None:
-            fuel.spend()
         return subst(t.body, t.defn)
     while type(t) is Lam and stack:
         sigma: list[Term] = []
         while type(t) is Lam and stack:
-            if fuel is not None:
-                fuel.spend()
             sigma.append(stack.pop())
             t = t.body
         sigma.reverse()  # innermost binder's argument first
@@ -201,7 +199,6 @@ def _try_rules(
         unwind(rule.lhs, pats)
         sigma: list[Optional[Term]] = [None] * rule.lhs.fa
         if len(stack) >= len(pats) and _match(env, pats, stack, ctx, fuel, sigma):
-            fuel.spend()
             del stack[len(stack) - len(pats) :]
             return rule.name, instantiate(rule.rhs, sigma)  # type: ignore[arg-type]
     return None
@@ -289,6 +286,7 @@ def _conv(env: GlobalEnv, a: Term, b: Term, ctx: Ctx, fuel: Fuel, memo: Memo) ->
         unfold_a = def_a and (not def_b or env.age(ha.name) >= env.age(hb.name))
         head, stack = (ha, sa) if unfold_a else (hb, sb)
         event = _head_event(env, head, stack, ctx, fuel)  # unfolds the definition
+        fuel.spend(event[3])
         head = _head_normal(env, unwind(event[2], stack), stack, ctx, fuel, lazy_defs=True)
         ha, hb = (head, hb) if unfold_a else (ha, head)
     else:

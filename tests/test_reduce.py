@@ -492,6 +492,31 @@ def test_trace_of_normal_form(simple):
     assert tr.stopped == "head-normal"
 
 
+# Matching r's rigid `i $u` against `S y` reduces `big B id (i y)` to `i y`
+# in 75007 units, more than half a walk step's rule-matching budget.
+COSTLY_MATCH = (
+    "system lambda-hol.\ndef Nat : * := forall (X : *), (X -> X) -> X -> X.\n"
+    "def mul : Nat -> Nat -> Nat := fun (m : Nat) (n : Nat) (X : *) (s : X -> X) => m X (n X s).\n"
+    "def n5 : Nat := fun (X : *) (s : X -> X) (z : X) => s (s (s (s (s z)))).\n"
+    "def n10 : Nat := fun (X : *) (s : X -> X) (z : X) => s (s (s (s (s (s (s (s (s (s z))))))))).\n"
+    "def big : Nat := mul n5 (mul n10 (mul n10 (mul n10 n10))).\n"
+    "const B : *.\nconst b : B.\nconst i : B -> B.\nconst m : B -> B.\n"
+    "rewrite r : m (i $u) => $u.\n"
+    "def S : B -> B := fun (y : B) => big B (fun (x : B) => x) (i y).\n"
+)
+
+
+def test_each_walk_step_has_its_own_rule_matching_budget():
+    env = run_program(COSTLY_MATCH).env
+    fuel = Fuel()
+    assert whnf(env, _term("S b", env), fuel=fuel) == _term("i b", env)
+    assert fuel.budget - fuel.left == 75007
+    # Two steps match at that price each, together past one budget.
+    tr = trace(env, _term("m (S (m (S b)))", env), HEAD_DEF, 10)
+    assert [(s.kind, s.detail) for s in tr.steps] == [("rewrite-fire", "r")] * 2
+    assert tr.stopped == "head-normal" and tr.steps[-1].raw == Const("b")
+
+
 def test_trace_display_raw_invariant(simple, refined):
     for bundle in (simple, refined):
         tr = trace(bundle.env, bundle.key_terms["bottomProof"], HEAD_DEF, 5)

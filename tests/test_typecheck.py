@@ -371,6 +371,55 @@ def test_whnf_of_a_let_bodied_definition_spends_one_unit_per_event():
     assert err.value.kind == "FuelExhausted"
 
 
+LOCAL_VALUE = (
+    "const A : *.\nconst a : A.\n"
+    "check let F : * := A -> A in fun (f : F) => f a : (A -> A) -> A.\n"
+)
+
+
+def test_whnf_unfolds_a_local_value_for_one_unit():
+    # Applying f needs whnf to unfold its type F, a let-bound local value.
+    report = run_program(LOCAL_VALUE)
+    assert report.ok and report.render() == (
+        "ok    const A : *\nok    const a : A\n"
+        "ok    check let F : * := A -> A in fun (f : F) => f a : (A -> A) -> A"
+    )
+    arrow = _term("A -> A", report.env)
+    fuel = Fuel()
+    assert whnf(report.env, Var(0, "F"), push((), "F", STAR_T, arrow), fuel) is arrow
+    assert fuel.budget - fuel.left == 1
+
+
+def test_fuel_refuses_a_payment_past_its_budget():
+    fuel = Fuel(3)
+    fuel.spend(3)
+    assert fuel.left == 0
+    for units in (4, 5):  # one unit past the budget, and two
+        fuel = Fuel(3)
+        with pytest.raises(TypeCheckError) as err:
+            fuel.spend(units)
+        assert str(err.value) == "FuelExhausted: conversion exceeded 3 head steps"
+        assert fuel.left == -1
+    fuel = Fuel(3)
+    fuel.spend()
+    assert fuel.left == 2
+
+
+def test_whnf_pays_for_a_template_unfolding_as_a_whole():
+    # A fully applied two-parameter definition costs one unit per argument
+    # and one for the unfolding; a budget short of that is exhausted.
+    env = run_program(LET_DEF + "def p : A -> A -> A := fun (x : A) (y : A) => f y.\n").env
+    t = _term("p a a", env)
+    fuel = Fuel(3)
+    assert whnf(env, t, fuel=fuel) == _term("f a", env)
+    assert fuel.left == 0
+    for budget in (2, 1):
+        fuel = Fuel(budget)
+        with pytest.raises(TypeCheckError) as err:
+            whnf(env, t, fuel=fuel)
+        assert err.value.kind == "FuelExhausted" and fuel.left == -1
+
+
 def test_whnf_returns_a_head_normal_term_itself():
     env = run_program(LET_DEF).env
     t = _term("f (g a)", env)
